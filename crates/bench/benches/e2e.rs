@@ -35,23 +35,25 @@ fn exploration() {
     let group = Group::new("e2e_exploration");
     let base = Synthesizer::new();
     let spec = GridSpec::fu_sweep(&base, 5);
+    // Each sweep compiles the source too, as a caller starting from BSL does.
+    let diffeq = || hls_lang::compile(hls_workloads::sources::DIFFEQ).expect("compiles");
     group.bench("sweep_serial", "diffeq", || {
-        hls_core::sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec).expect("sweeps")
+        hls_core::sweep_grid_cdfg(&base, &diffeq(), &spec).expect("sweeps")
     });
     for threads in [2usize, 4] {
         group.bench("sweep_parallel_cold", format!("diffeq/t{threads}"), || {
             // A fresh explorer per iteration: measures the pool fan-out
             // without cache effects.
             Explorer::with_threads(threads)
-                .sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec)
+                .sweep_grid_cdfg(&base, &diffeq(), &spec)
                 .expect("sweeps")
         });
     }
     let warm = Explorer::with_threads(4);
-    warm.sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec)
+    warm.sweep_grid_cdfg(&base, &diffeq(), &spec)
         .expect("sweeps");
     group.bench("sweep_parallel_warm", "diffeq/t4", || {
-        warm.sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec)
+        warm.sweep_grid_cdfg(&base, &diffeq(), &spec)
             .expect("sweeps")
     });
     println!("warm-cache stats: {:?}", warm.cache_stats());

@@ -19,7 +19,7 @@ use hls_alloc::{
 };
 use hls_bench::comparison_algorithms;
 use hls_cdfg::Fx;
-use hls_core::{pareto_front, sweep_fus, ControlStyle, Synthesizer};
+use hls_core::{pareto_front, sweep_grid_cdfg, ControlStyle, GridSpec, Synthesizer};
 use hls_ctrl::{compare_encodings, microcode};
 use hls_sched::{
     asap_schedule, branch_and_bound_schedule, distribution_graphs, force_directed_schedule,
@@ -433,7 +433,9 @@ fn table_dse() {
             "  {:<4} {:>8} {:>9} {:>6} {:>8}",
             "fus", "latency", "area(GE)", "regs", "mux-ins"
         );
-        let points = sweep_fus(&Synthesizer::new(), src, 5).expect("sweep");
+        let base = Synthesizer::new();
+        let cdfg = hls_lang::compile(src).expect("compiles");
+        let points = sweep_grid_cdfg(&base, &cdfg, &GridSpec::fu_sweep(&base, 5)).expect("sweep");
         for p in &points {
             println!(
                 "  {:<4} {:>8} {:>9.0} {:>6} {:>8}",
@@ -450,7 +452,7 @@ fn table_dse() {
 /// wall-clock on the diffeq and elliptic-wave-filter workloads, with
 /// memo-cache hit rates.
 fn table_explore() {
-    use hls_core::{sweep_grid_cdfg, Explorer, GridSpec};
+    use hls_core::Explorer;
     use std::time::Instant;
 
     println!("Table — serial vs parallel design-space exploration\n");
@@ -540,7 +542,7 @@ fn table_explore() {
 /// byte-identical to the exhaustive one, and both headline workloads
 /// must skip at least 30% of the grid.
 fn table_estimator() {
-    use hls_core::{Explorer, GridSpec};
+    use hls_core::Explorer;
     use hls_workloads::random::{random_dag, RandomDagConfig};
     use std::time::Instant;
 
@@ -840,7 +842,7 @@ fn table_serve() {
                     s.set_read_timeout(Some(Duration::from_secs(30))).ok();
                     write!(
                         s,
-                        "POST /synthesize HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\n\
+                        "POST /v1/synthesize HTTP/1.1\r\nHost: b\r\nContent-Length: {}\r\n\
                          Connection: close\r\n\r\n{body}",
                         body.len()
                     )

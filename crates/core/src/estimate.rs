@@ -13,7 +13,7 @@
 //! inside the predicted `[lo, hi]` intervals. That turns dominance
 //! checks between intervals into *proofs* that a point cannot appear on
 //! the exhaustive Pareto front, which is what lets
-//! `Explorer::sweep_grid_cdfg_pruned` skip it without changing the
+//! a pruned `Explorer::run` skip it without changing the
 //! front (see [`prune_mask`] for the exact rule and argument).
 //!
 //! ## Latency model (per block, aggregated over the control tree)

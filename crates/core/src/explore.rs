@@ -4,30 +4,31 @@
 //! specification in a reasonable amount of time. This allows the developer
 //! to explore different trade-offs between cost, speed, power and so on"
 //! (§1.2). This module sweeps resource limits, scheduling algorithms, and
-//! control styles over a behavior — serially via [`sweep_fus`]/[`sweep_grid`]
-//! or across every core via [`Explorer`] — and extracts the area–latency
+//! control styles over a behavior — serially via [`sweep_grid_cdfg`] or
+//! across every core via [`Explorer`] — and extracts the area–latency
 //! Pareto front.
 //!
 //! The parallel engine is the system's first genuinely concurrent hot
-//! path: grid points fan out over a work-stealing pool ([`crate::par`]),
+//! path: grid points fan out over a work-stealing pool ([`hls_par`]),
 //! and a content-addressed memo cache (fingerprint of the lowered CDFG +
 //! the fully configured synthesizer → result summary) collapses repeated
-//! points so each distinct configuration is synthesized once. Result
-//! order is fixed by the grid, never by thread interleaving, so parallel
-//! sweeps are byte-identical to serial ones.
+//! points so each distinct configuration is synthesized once. Every sweep
+//! goes through one engine, [`Explorer::run`]; result order is fixed by
+//! the point list, never by thread interleaving, so parallel sweeps are
+//! byte-identical to serial ones.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use hls_cdfg::Cdfg;
+use hls_par::{default_threads, ThreadPool};
 use hls_sched::Algorithm;
 
 use crate::estimate::{prune_mask, Estimator, PruneStats};
-use crate::par::{default_threads, ThreadPool};
 use crate::pipeline::{
-    cdfg_fingerprint, ControlStyle, PreparedBehavior, SynthesisResult, Synthesizer,
+    cdfg_fingerprint, CancelToken, ControlStyle, PreparedBehavior, SynthesisResult, Synthesizer,
 };
 use crate::SynthesisError;
 
@@ -159,20 +160,6 @@ impl GridSpec {
         }
         out
     }
-
-    /// Expands the grid and collapses duplicate coordinates (an axis may
-    /// repeat a value), keeping first-occurrence order. Parallel sweeps
-    /// dispatch exactly these points; positions of
-    /// [`GridSpec::expand`]-order duplicates are filled by copying their
-    /// representative's result, so a spec-repeated point is synthesized
-    /// (and memo-cached) once, not once per repetition.
-    pub fn expand_unique(&self) -> Vec<GridPoint> {
-        dedup_points(&self.expand()).0
-    }
-
-    fn points(&self) -> Vec<GridPoint> {
-        self.expand()
-    }
 }
 
 /// Collapses duplicate coordinates: the unique points in first-occurrence
@@ -192,22 +179,34 @@ fn dedup_points(points: &[GridPoint]) -> (Vec<GridPoint>, Vec<usize>) {
     (uniq, slot)
 }
 
-/// The outcome of a pruned grid sweep
-/// ([`Explorer::sweep_grid_cdfg_pruned`]).
+/// What [`Explorer::run`] sweeps.
+#[derive(Clone, Debug, Default)]
+pub struct Sweep {
+    /// The points to explore, in the order results are indexed by.
+    pub points: Vec<GridPoint>,
+    /// Skip points the QoR estimator proves absent from the exhaustive
+    /// Pareto front ([`crate::estimate::prune_mask`]) instead of
+    /// synthesizing them.
+    pub prune: bool,
+    /// Checked before each point starts; see [`Explorer::run`].
+    pub cancel: CancelToken,
+}
+
+/// The collected outcome of a sweep ([`Explorer::collect`]).
 #[derive(Clone, Debug)]
-pub struct PrunedSweep {
-    /// The synthesized (surviving) design points, in grid order.
+pub struct SweepOutcome {
+    /// The synthesized (surviving) design points, in point order.
     pub points: Vec<DesignPoint>,
-    /// One flag per expanded-grid position: `true` when the point was
-    /// skipped by the dominance pre-pass. `points` holds exactly the
-    /// `false` positions, in order.
+    /// One flag per swept position: `true` when the point was skipped
+    /// by the dominance pre-pass. `points` holds exactly the `false`
+    /// positions, in order.
     pub pruned: Vec<bool>,
-    /// Estimator and pruning counters.
+    /// Estimator and pruning counters. An unpruned sweep estimates and
+    /// prunes nothing and counts each distinct point as synthesized.
     pub stats: PruneStats,
 }
 
-/// One record of a pruned streaming sweep
-/// ([`Explorer::sweep_points_cdfg_streaming_pruned`]).
+/// One record of a sweep, as [`Explorer::run`] delivers it.
 #[derive(Clone, Debug)]
 pub enum StreamedPoint {
     /// Skipped by the estimator's dominance pre-pass — provably absent
@@ -305,13 +304,13 @@ impl MemoCache {
         };
         if owner {
             self.misses.fetch_add(1, Ordering::SeqCst);
+            let resolve = Resolve(&cell);
             let result = compute();
-            let mut state = cell.state.lock().expect("cell lock");
-            match &result {
-                Ok(s) => *state = CellState::Done(*s),
-                Err(e) => *state = CellState::Failed(e.to_string()),
-            }
-            cell.ready.notify_all();
+            *cell.state.lock().expect("cell lock") = match &result {
+                Ok(s) => CellState::Done(*s),
+                Err(e) => CellState::Failed(e.to_string()),
+            };
+            drop(resolve);
             result.map(|s| (s, false))
         } else {
             self.hits.fetch_add(1, Ordering::SeqCst);
@@ -325,6 +324,21 @@ impl MemoCache {
                 CellState::Pending => unreachable!("loop exits only on a final state"),
             }
         }
+    }
+}
+
+/// Wakes a cell's waiters when its owner finishes — including when
+/// `compute` unwinds, in which case the cell is marked failed first, so a
+/// later lookup of the key errors instead of blocking forever.
+struct Resolve<'a>(&'a CacheCell);
+
+impl Drop for Resolve<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if matches!(*state, CellState::Pending) {
+            *state = CellState::Failed("point synthesis panicked".into());
+        }
+        self.0.ready.notify_all();
     }
 }
 
@@ -350,38 +364,8 @@ fn run_point(
         .map(|r| PointSummary::of(&r))
 }
 
-/// Sweeps universal-FU counts `1..=max_fus` over `source`, returning all
-/// design points in sweep order. Serial reference path; see
-/// [`Explorer::sweep_fus`] for the parallel, cached equivalent.
-///
-/// # Errors
-///
-/// Propagates the first synthesis failure (in grid order).
-pub fn sweep_fus(
-    base: &Synthesizer,
-    source: &str,
-    max_fus: usize,
-) -> Result<Vec<DesignPoint>, SynthesisError> {
-    sweep_grid(base, source, &GridSpec::fu_sweep(base, max_fus))
-}
-
-/// Serially sweeps the full cartesian grid over BSL `source`, returning
-/// points in grid order.
-///
-/// # Errors
-///
-/// Propagates parse errors and the first synthesis failure (in grid
-/// order).
-pub fn sweep_grid(
-    base: &Synthesizer,
-    source: &str,
-    spec: &GridSpec,
-) -> Result<Vec<DesignPoint>, SynthesisError> {
-    let cdfg = hls_lang::compile(source)?;
-    sweep_grid_cdfg(base, &cdfg, spec)
-}
-
-/// Serially sweeps the grid over an already-compiled behavior.
+/// Serially sweeps the grid over an already-compiled behavior: the
+/// reference [`Explorer`] sweeps must reproduce.
 ///
 /// # Errors
 ///
@@ -392,7 +376,7 @@ pub fn sweep_grid_cdfg(
     spec: &GridSpec,
 ) -> Result<Vec<DesignPoint>, SynthesisError> {
     let prepared = base.prepare(cdfg.clone())?;
-    spec.points()
+    spec.expand()
         .iter()
         .map(|cfg| run_point(&configure(base, cfg), &prepared).map(|s| DesignPoint::new(cfg, s)))
         .collect()
@@ -409,14 +393,16 @@ pub fn sweep_grid_cdfg(
 /// # Examples
 ///
 /// ```
-/// use hls_core::{Explorer, Synthesizer};
+/// use hls_core::{Explorer, GridSpec, Synthesizer};
 ///
 /// let explorer = Explorer::with_threads(2);
 /// let base = Synthesizer::new();
-/// let points = explorer.sweep_fus(&base, hls_workloads::sources::SQRT, 3)?;
+/// let cdfg = hls_lang::compile(hls_workloads::sources::SQRT)?;
+/// let spec = GridSpec::fu_sweep(&base, 3);
+/// let points = explorer.sweep_grid_cdfg(&base, &cdfg, &spec)?;
 /// assert_eq!(points.len(), 3);
 /// // Identical to the serial reference sweep, in the same order.
-/// assert_eq!(points, hls_core::sweep_fus(&base, hls_workloads::sources::SQRT, 3)?);
+/// assert_eq!(points, hls_core::sweep_grid_cdfg(&base, &cdfg, &spec)?);
 /// # Ok::<(), hls_core::SynthesisError>(())
 /// ```
 #[derive(Debug)]
@@ -457,36 +443,184 @@ impl Explorer {
         self.cache.stats()
     }
 
-    /// Parallel, cached FU sweep; same results and order as [`sweep_fus`].
+    /// The sweep engine: synthesizes every point of `sweep` on the pool,
+    /// through the memo cache, and calls `on_point` once per index of
+    /// `sweep.points`.
+    ///
+    /// - **Ordering.** Synthesized points call back from worker threads
+    ///   in completion order; the index, not the call order, places a
+    ///   result. With `prune` set, pruned positions call back first, from
+    ///   the caller's thread in point order, with
+    ///   [`StreamedPoint::Pruned`].
+    /// - **Dedup.** Repeated points are not collapsed here (each
+    ///   repetition after the first is a memo hit); [`Explorer::collect`]
+    ///   dispatches each distinct point once.
+    /// - **Cancellation.** `sweep.cancel` is checked before each point. A
+    ///   point that has started runs to completion, so the memo cache is
+    ///   never poisoned with a cancellation; once the token fires, every
+    ///   unstarted point reports [`SynthesisError::Cancelled`].
+    ///
+    /// The behavior is prepared (passes and bound analyses) once and
+    /// shared by every point. When this returns, every callback has run
+    /// and the pool holds no clone of `on_point`.
+    ///
+    /// Returns the estimator's counters when `sweep.prune` is set.
+    /// Pruning decisions ignore control style (it never affects latency
+    /// or area), but hardwired controller generation can fail where
+    /// microcode cannot: a pruned point that would have errored
+    /// unpruned errors only if a surviving point shares the failure.
     ///
     /// # Errors
     ///
-    /// Propagates parse errors and the first synthesis failure (in grid
-    /// order).
-    pub fn sweep_fus(
+    /// Returns an error only when the behavior fails to *prepare*
+    /// (before any point runs); per-point failures go to `on_point`, so
+    /// one bad point cannot hide the others.
+    pub fn run<F>(
         &self,
         base: &Synthesizer,
-        source: &str,
-        max_fus: usize,
-    ) -> Result<Vec<DesignPoint>, SynthesisError> {
-        self.sweep_grid(base, source, &GridSpec::fu_sweep(base, max_fus))
+        cdfg: &Cdfg,
+        sweep: &Sweep,
+        on_point: F,
+    ) -> Result<Option<PruneStats>, SynthesisError>
+    where
+        F: Fn(usize, Result<StreamedPoint, SynthesisError>) + Send + Sync + 'static,
+    {
+        let behavior_fp = cdfg_fingerprint(cdfg);
+        let prepared = Arc::new(base.prepare(cdfg.clone())?);
+        let estimates = sweep
+            .prune
+            .then(|| Estimator::new(base, &prepared).estimate_points(&sweep.points));
+        let mask = estimates.as_deref().map(prune_mask).unwrap_or_default();
+        let mut survivors = Vec::with_capacity(sweep.points.len());
+        for (i, p) in sweep.points.iter().enumerate() {
+            if mask.get(i).copied().unwrap_or(false) {
+                on_point(i, Ok(StreamedPoint::Pruned));
+            } else {
+                survivors.push((i, *p));
+            }
+        }
+        let synthesized = survivors.len();
+
+        let base = Arc::new(base.clone());
+        let cache = Arc::clone(&self.cache);
+        let cancel = sweep.cancel.clone();
+        // Each survivor yields its actual (latency, area) for the
+        // estimator agreement check below.
+        let actuals = self.pool.map(survivors, move |_, (i, cfg)| {
+            if cancel.is_cancelled() {
+                on_point(
+                    i,
+                    Err(SynthesisError::Cancelled {
+                        completed: "explore-point",
+                    }),
+                );
+                return None;
+            }
+            let syn = configure(&base, &cfg);
+            let key = memo_key(behavior_fp, syn.fingerprint());
+            match cache.get_or_compute(key, || run_point(&syn, &prepared)) {
+                Ok((s, cache_hit)) => {
+                    let point = DesignPoint::new(&cfg, s);
+                    let actual = (i, point.latency, point.area);
+                    on_point(i, Ok(StreamedPoint::Synthesized { point, cache_hit }));
+                    Some(actual)
+                }
+                Err(e) => {
+                    on_point(i, Err(e));
+                    None
+                }
+            }
+        });
+
+        let Some(estimates) = estimates else {
+            return Ok(None);
+        };
+        // Self-check: did every bounded estimate contain its actual?
+        let mut checked = 0usize;
+        let mut inside = 0usize;
+        for (i, latency, area) in actuals.into_iter().flatten() {
+            if estimates[i].bounded {
+                checked += 1;
+                if estimates[i].contains(latency, area) {
+                    inside += 1;
+                }
+            }
+        }
+        Ok(Some(PruneStats {
+            estimated: sweep.points.len(),
+            pruned: sweep.points.len() - synthesized,
+            synthesized,
+            agreement: if checked == 0 {
+                1.0
+            } else {
+                inside as f64 / checked as f64
+            },
+        }))
     }
 
-    /// Parallel, cached grid sweep over BSL `source`; same results and
-    /// order as [`sweep_grid`].
+    /// Runs `sweep` through [`Explorer::run`] and collects the results
+    /// in point order. A repeated point is dispatched once and its result
+    /// fanned back out to every repetition, so it never even consults the
+    /// memo cache twice; under pruning the estimator's identity rule
+    /// already prunes repetitions.
     ///
     /// # Errors
     ///
-    /// Propagates parse errors and the first synthesis failure (in grid
-    /// order).
-    pub fn sweep_grid(
+    /// Propagates preparation failures and the first point failure or
+    /// cancellation in point order, independent of completion order.
+    pub fn collect(
         &self,
         base: &Synthesizer,
-        source: &str,
-        spec: &GridSpec,
-    ) -> Result<Vec<DesignPoint>, SynthesisError> {
-        let cdfg = hls_lang::compile(source)?;
-        self.sweep_grid_cdfg(base, &cdfg, spec)
+        cdfg: &Cdfg,
+        sweep: &Sweep,
+    ) -> Result<SweepOutcome, SynthesisError> {
+        let (uniq, slot) = if sweep.prune {
+            (sweep.points.clone(), (0..sweep.points.len()).collect())
+        } else {
+            dedup_points(&sweep.points)
+        };
+        let dispatched = Sweep {
+            points: uniq,
+            prune: sweep.prune,
+            cancel: sweep.cancel.clone(),
+        };
+        type Slot = Option<Result<StreamedPoint, SynthesisError>>;
+        let results: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(
+            (0..dispatched.points.len()).map(|_| None).collect(),
+        ));
+        let sink = Arc::clone(&results);
+        let stats = self.run(base, cdfg, &dispatched, move |i, r| {
+            sink.lock().expect("results lock")[i] = Some(r);
+        })?;
+        let mut results = std::mem::take(&mut *results.lock().expect("results lock"));
+
+        let mut points = Vec::with_capacity(slot.len());
+        let mut pruned = Vec::with_capacity(slot.len());
+        for &s in &slot {
+            match &results[s] {
+                Some(Ok(StreamedPoint::Synthesized { point, .. })) => {
+                    points.push(point.clone());
+                    pruned.push(false);
+                }
+                Some(Ok(StreamedPoint::Pruned)) => pruned.push(true),
+                Some(Err(_)) | None => {
+                    return Err(match results[s].take() {
+                        Some(Err(e)) => e,
+                        _ => SynthesisError::Explore("sweep point never reported a result".into()),
+                    })
+                }
+            }
+        }
+        Ok(SweepOutcome {
+            points,
+            pruned,
+            stats: stats.unwrap_or(PruneStats {
+                estimated: 0,
+                pruned: 0,
+                synthesized: dispatched.points.len(),
+                agreement: 1.0,
+            }),
+        })
     }
 
     /// Parallel, cached grid sweep over an already-compiled behavior;
@@ -501,74 +635,16 @@ impl Explorer {
         cdfg: &Cdfg,
         spec: &GridSpec,
     ) -> Result<Vec<DesignPoint>, SynthesisError> {
-        self.sweep_grid_cdfg_cancellable(base, cdfg, spec, &crate::CancelToken::new())
-    }
-
-    /// Parallel, cached grid sweep under a cancellation token, checked
-    /// before each grid point. A point that has started synthesizing
-    /// runs to completion (so the memo cache is never poisoned with a
-    /// cancellation); once the token fires, every unstarted point
-    /// reports [`SynthesisError::Cancelled`] instead of synthesizing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first synthesis failure or cancellation (in grid
-    /// order).
-    ///
-    /// [`SynthesisError::Cancelled`]: crate::SynthesisError::Cancelled
-    pub fn sweep_grid_cdfg_cancellable(
-        &self,
-        base: &Synthesizer,
-        cdfg: &Cdfg,
-        spec: &GridSpec,
-        cancel: &crate::CancelToken,
-    ) -> Result<Vec<DesignPoint>, SynthesisError> {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let base = Arc::new(base.clone());
-        // Passes and bound analyses run once per sweep; every grid point
-        // (and worker) shares the prepared behavior.
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
-        // A spec axis may repeat a value; dispatch each distinct
-        // coordinate once and fan its result back out to every
-        // duplicate position, so repeats never even consult the cache.
-        let (uniq, slot) = dedup_points(&spec.points());
-        let results = self.pool.map(uniq, move |_, cfg| {
-            if cancel.is_cancelled() {
-                return Err(SynthesisError::Cancelled {
-                    completed: "explore-point",
-                });
-            }
-            let syn = configure(&base, &cfg);
-            let key = memo_key(behavior_fp, syn.fingerprint());
-            cache
-                .get_or_compute(key, || run_point(&syn, &prepared))
-                .map(|(s, _)| DesignPoint::new(&cfg, s))
-        });
-        // First error in grid order, independent of completion order.
-        let mut results: Vec<Option<Result<DesignPoint, SynthesisError>>> =
-            results.into_iter().map(Some).collect();
-        let mut out = Vec::with_capacity(slot.len());
-        for &s in &slot {
-            match results[s].take() {
-                Some(Ok(p)) => {
-                    results[s] = Some(Ok(p.clone()));
-                    out.push(p);
-                }
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(SynthesisError::Explore(
-                        "duplicate grid slot resolved twice".into(),
-                    ))
-                }
-            }
-        }
-        Ok(out)
+        let sweep = Sweep {
+            points: spec.expand(),
+            ..Sweep::default()
+        };
+        self.collect(base, cdfg, &sweep).map(|o| o.points)
     }
 
     /// [`Explorer::sweep_grid_cdfg`] behind the QoR-estimator pruning
-    /// pre-pass; see [`Explorer::sweep_grid_cdfg_pruned_cancellable`].
+    /// pre-pass: the surviving points' [`pareto_front`] is byte-identical
+    /// to the exhaustive sweep's.
     ///
     /// # Errors
     ///
@@ -579,253 +655,13 @@ impl Explorer {
         base: &Synthesizer,
         cdfg: &Cdfg,
         spec: &GridSpec,
-    ) -> Result<PrunedSweep, SynthesisError> {
-        self.sweep_grid_cdfg_pruned_cancellable(base, cdfg, spec, &crate::CancelToken::new())
-    }
-
-    /// Grid sweep with estimator-driven dominance pruning: every grid
-    /// point is first *estimated* (sound latency/area intervals from the
-    /// prepared bound analyses — no scheduling), and a point provably
-    /// absent from the exhaustive Pareto front
-    /// ([`crate::estimate::prune_mask`]) is skipped instead of
-    /// synthesized. The surviving points' [`pareto_front`] is
-    /// byte-identical to the exhaustive sweep's.
-    ///
-    /// Caveat on *errors*: pruning decisions ignore control style (it
-    /// never affects latency or area), but hardwired controller
-    /// generation can fail where microcode cannot — a pruned point that
-    /// would have errored in the exhaustive sweep errors here only if a
-    /// surviving point shares the failure.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first synthesis failure among *synthesized* points
-    /// (in grid order).
-    pub fn sweep_grid_cdfg_pruned_cancellable(
-        &self,
-        base: &Synthesizer,
-        cdfg: &Cdfg,
-        spec: &GridSpec,
-        cancel: &crate::CancelToken,
-    ) -> Result<PrunedSweep, SynthesisError> {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let all = spec.points();
-        let estimates = Estimator::new(base, &prepared).estimate_points(&all);
-        let mask = prune_mask(&estimates);
-        let survivors: Vec<(usize, GridPoint)> = all
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| !mask[*i])
-            .collect();
-
-        let base = Arc::new(base.clone());
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
-        let results = {
-            let prepared = Arc::clone(&prepared);
-            self.pool.map(survivors.clone(), move |_, (_, cfg)| {
-                if cancel.is_cancelled() {
-                    return Err(SynthesisError::Cancelled {
-                        completed: "explore-point",
-                    });
-                }
-                let syn = configure(&base, &cfg);
-                let key = memo_key(behavior_fp, syn.fingerprint());
-                cache
-                    .get_or_compute(key, || run_point(&syn, &prepared))
-                    .map(|(s, _)| DesignPoint::new(&cfg, s))
-            })
+    ) -> Result<SweepOutcome, SynthesisError> {
+        let sweep = Sweep {
+            points: spec.expand(),
+            prune: true,
+            ..Sweep::default()
         };
-        let points: Vec<DesignPoint> = results.into_iter().collect::<Result<_, _>>()?;
-
-        // Self-check: did every bounded estimate contain its actual?
-        let mut checked = 0usize;
-        let mut inside = 0usize;
-        for ((i, _), p) in survivors.iter().zip(&points) {
-            let e = &estimates[*i];
-            if e.bounded {
-                checked += 1;
-                if e.contains(p.latency, p.area) {
-                    inside += 1;
-                }
-            }
-        }
-        let stats = PruneStats {
-            estimated: all.len(),
-            pruned: mask.iter().filter(|&&m| m).count(),
-            synthesized: survivors.len(),
-            agreement: if checked == 0 {
-                1.0
-            } else {
-                inside as f64 / checked as f64
-            },
-        };
-        Ok(PrunedSweep {
-            points,
-            pruned: mask,
-            stats,
-        })
-    }
-
-    /// Parallel, cached sweep over an *explicit* point list, invoking
-    /// `on_point` from worker threads as each point completes (in
-    /// completion order, not list order). This is the progress hook the
-    /// batch-streaming endpoint of `hls-serve` is built on: each
-    /// callback carries the point's index into `points`, and on success
-    /// the [`DesignPoint`] plus whether it was served from the memo
-    /// cache (`true`) or freshly synthesized (`false`).
-    ///
-    /// Cancellation follows [`Explorer::sweep_grid_cdfg_cancellable`]:
-    /// started points run to completion, unstarted points report
-    /// [`SynthesisError::Cancelled`] through the callback.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the behavior fails to *prepare*
-    /// (before any point runs); per-point failures are delivered through
-    /// `on_point` instead so one bad point cannot hide the others.
-    ///
-    /// [`SynthesisError::Cancelled`]: crate::SynthesisError::Cancelled
-    pub fn sweep_points_cdfg_streaming<F>(
-        &self,
-        base: &Synthesizer,
-        cdfg: &Cdfg,
-        points: Vec<GridPoint>,
-        cancel: &crate::CancelToken,
-        on_point: F,
-    ) -> Result<(), SynthesisError>
-    where
-        F: Fn(usize, Result<(DesignPoint, bool), SynthesisError>) + Send + Sync + 'static,
-    {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let base = Arc::new(base.clone());
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
-        // map() blocks until every point has called back *and* every
-        // worker has released its clone of the closure, so the caller
-        // can finalize its stream (and reclaim anything `on_point`
-        // captured) right after this returns.
-        let _ = self.pool.map(points, move |seq, cfg| {
-            if cancel.is_cancelled() {
-                on_point(
-                    seq,
-                    Err(SynthesisError::Cancelled {
-                        completed: "explore-point",
-                    }),
-                );
-                return;
-            }
-            let syn = configure(&base, &cfg);
-            let key = memo_key(behavior_fp, syn.fingerprint());
-            let out = cache
-                .get_or_compute(key, || run_point(&syn, &prepared))
-                .map(|(s, hit)| (DesignPoint::new(&cfg, s), hit));
-            on_point(seq, out);
-        });
-        Ok(())
-    }
-
-    /// [`Explorer::sweep_points_cdfg_streaming`] behind the
-    /// QoR-estimator pruning pre-pass. Pruned positions call back
-    /// immediately (from the caller's thread, in list order) with
-    /// [`StreamedPoint::Pruned`]; surviving positions synthesize on the
-    /// pool and call back in completion order with
-    /// [`StreamedPoint::Synthesized`]. Every index of `points` calls
-    /// back exactly once.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only when the behavior fails to *prepare*;
-    /// per-point failures are delivered through `on_point`.
-    pub fn sweep_points_cdfg_streaming_pruned<F>(
-        &self,
-        base: &Synthesizer,
-        cdfg: &Cdfg,
-        points: Vec<GridPoint>,
-        cancel: &crate::CancelToken,
-        on_point: F,
-    ) -> Result<PruneStats, SynthesisError>
-    where
-        F: Fn(usize, Result<StreamedPoint, SynthesisError>) + Send + Sync + 'static,
-    {
-        let behavior_fp = cdfg_fingerprint(cdfg);
-        let prepared = Arc::new(base.prepare(cdfg.clone())?);
-        let estimates = Estimator::new(base, &prepared).estimate_points(&points);
-        let mask = prune_mask(&estimates);
-        let mut survivors = Vec::new();
-        for (i, (p, pruned)) in points.iter().zip(&mask).enumerate() {
-            if *pruned {
-                on_point(i, Ok(StreamedPoint::Pruned));
-            } else {
-                survivors.push((i, *p));
-            }
-        }
-        let synthesized = survivors.len();
-
-        let base = Arc::new(base.clone());
-        let cache = Arc::clone(&self.cache);
-        let cancel = cancel.clone();
-        // Actual (latency, area) per surviving list index, for the
-        // agreement self-check once the pool drains.
-        let actuals: Arc<Mutex<Vec<(usize, u64, f64)>>> = Arc::new(Mutex::new(Vec::new()));
-        {
-            let prepared = Arc::clone(&prepared);
-            let sink = Arc::clone(&actuals);
-            let _ = self.pool.map(survivors, move |_, (seq, cfg)| {
-                if cancel.is_cancelled() {
-                    on_point(
-                        seq,
-                        Err(SynthesisError::Cancelled {
-                            completed: "explore-point",
-                        }),
-                    );
-                    return;
-                }
-                let syn = configure(&base, &cfg);
-                let key = memo_key(behavior_fp, syn.fingerprint());
-                match cache.get_or_compute(key, || run_point(&syn, &prepared)) {
-                    Ok((s, hit)) => {
-                        let point = DesignPoint::new(&cfg, s);
-                        sink.lock()
-                            .expect("actuals lock")
-                            .push((seq, point.latency, point.area));
-                        on_point(
-                            seq,
-                            Ok(StreamedPoint::Synthesized {
-                                point,
-                                cache_hit: hit,
-                            }),
-                        );
-                    }
-                    Err(e) => on_point(seq, Err(e)),
-                }
-            });
-        }
-
-        let actuals = actuals.lock().expect("actuals lock");
-        let mut checked = 0usize;
-        let mut inside = 0usize;
-        for &(i, latency, area) in actuals.iter() {
-            if estimates[i].bounded {
-                checked += 1;
-                if estimates[i].contains(latency, area) {
-                    inside += 1;
-                }
-            }
-        }
-        Ok(PruneStats {
-            estimated: points.len(),
-            pruned: mask.iter().filter(|&&m| m).count(),
-            synthesized,
-            agreement: if checked == 0 {
-                1.0
-            } else {
-                inside as f64 / checked as f64
-            },
-        })
+        self.collect(base, cdfg, &sweep)
     }
 }
 
@@ -886,9 +722,16 @@ mod tests {
         }
     }
 
+    /// The serial SQRT sweep over `1..=max_fus` universal FUs.
+    fn sqrt_fu_sweep(max_fus: usize) -> Vec<DesignPoint> {
+        let base = Synthesizer::new();
+        let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
+        sweep_grid_cdfg(&base, &cdfg, &GridSpec::fu_sweep(&base, max_fus)).unwrap()
+    }
+
     #[test]
     fn sweep_trades_area_for_speed() {
-        let points = sweep_fus(&Synthesizer::new(), hls_workloads::sources::SQRT, 4).unwrap();
+        let points = sqrt_fu_sweep(4);
         assert_eq!(points.len(), 4);
         // Latency never increases with more FUs.
         for w in points.windows(2) {
@@ -900,7 +743,7 @@ mod tests {
 
     #[test]
     fn pareto_front_is_non_dominated() {
-        let points = sweep_fus(&Synthesizer::new(), hls_workloads::sources::SQRT, 4).unwrap();
+        let points = sqrt_fu_sweep(4);
         let front = pareto_front(&points);
         assert!(!front.is_empty());
         for (i, a) in front.iter().enumerate() {
@@ -951,84 +794,134 @@ mod tests {
         assert!(!a.dominates(&a), "no self-domination");
     }
 
-    #[test]
-    fn streaming_sweep_matches_grid_sweep_and_reports_hits() {
-        use std::sync::Mutex;
+    type Log = Vec<(usize, Result<StreamedPoint, SynthesisError>)>;
 
-        let explorer = Explorer::with_threads(2);
+    /// Every callback of one [`Explorer::run`], sorted by index.
+    fn run_and_log(explorer: &Explorer, cdfg: &Cdfg, sweep: &Sweep) -> (Log, Option<PruneStats>) {
+        let log: Arc<Mutex<Log>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&log);
+        let stats = explorer
+            .run(&Synthesizer::new(), cdfg, sweep, move |i, r| {
+                sink.lock().unwrap().push((i, r));
+            })
+            .expect("SQRT prepares");
+        let mut log = std::mem::take(&mut *log.lock().unwrap());
+        log.sort_by_key(|(i, _)| *i);
+        (log, stats)
+    }
+
+    #[test]
+    fn run_matches_the_serial_reference_pruned_or_not_on_any_pool() {
         let base = Synthesizer::new();
         let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
         let spec = GridSpec {
-            fus: vec![1, 2],
+            fus: vec![1, 2, 3],
             algorithms: vec![Algorithm::Asap, Algorithm::List(Priority::PathLength)],
-            controls: vec![ControlStyle::Hardwired(hls_ctrl::EncodingStyle::Binary)],
+            controls: vec![
+                ControlStyle::Hardwired(hls_ctrl::EncodingStyle::Binary),
+                ControlStyle::Microcode,
+            ],
         };
-        let reference = explorer
-            .sweep_grid_cdfg(&base, &cdfg, &spec)
-            .expect("reference sweep");
-
-        let run = |expect_hits: bool| {
-            let seen: Arc<Mutex<Vec<(usize, DesignPoint, bool)>>> =
-                Arc::new(Mutex::new(Vec::new()));
-            let sink = Arc::clone(&seen);
-            explorer
-                .sweep_points_cdfg_streaming(
-                    &base,
-                    &cdfg,
-                    spec.expand(),
-                    &crate::CancelToken::new(),
-                    move |seq, out| {
-                        let (p, hit) = out.expect("point synthesizes");
-                        sink.lock().unwrap().push((seq, p, hit));
-                    },
-                )
-                .expect("streaming sweep");
-            let mut seen = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
-            seen.sort_by_key(|(seq, _, _)| *seq);
-            assert_eq!(seen.len(), spec.len(), "every point calls back once");
-            for (i, (seq, p, hit)) in seen.iter().enumerate() {
-                assert_eq!(*seq, i);
-                assert_eq!(p, &reference[i], "streamed point {i} disagrees");
-                if expect_hits {
-                    assert!(*hit, "point {i} should hit the warm memo cache");
+        let reference = sweep_grid_cdfg(&base, &cdfg, &spec).unwrap();
+        let reference_front = format!("{:?}", pareto_front(&reference));
+        for (prune, threads) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+            let case = format!("prune={prune} threads={threads}");
+            let explorer = Explorer::with_threads(threads);
+            let sweep = Sweep {
+                points: spec.expand(),
+                prune,
+                ..Sweep::default()
+            };
+            let mut pruned_positions = Vec::new();
+            for warm in [false, true] {
+                let (log, stats) = run_and_log(&explorer, &cdfg, &sweep);
+                let indices: Vec<usize> = log.iter().map(|(i, _)| *i).collect();
+                assert_eq!(
+                    indices,
+                    (0..spec.len()).collect::<Vec<_>>(),
+                    "{case}: every index calls back exactly once"
+                );
+                let mut synthesized = Vec::new();
+                pruned_positions.clear();
+                for (i, r) in log {
+                    match r.expect("SQRT points synthesize") {
+                        StreamedPoint::Pruned => pruned_positions.push(i),
+                        StreamedPoint::Synthesized { point, cache_hit } => {
+                            assert_eq!(point, reference[i], "{case}: point {i}");
+                            assert!(!warm || cache_hit, "{case}: warm point {i} missed");
+                            synthesized.push(point);
+                        }
+                    }
+                }
+                assert_eq!(
+                    format!("{:?}", pareto_front(&synthesized)),
+                    reference_front,
+                    "{case}: the front must not change"
+                );
+                match stats {
+                    None => assert!(!prune && pruned_positions.is_empty(), "{case}"),
+                    Some(stats) => {
+                        assert!(prune, "{case}");
+                        assert!(stats.pruned > 0, "{case}: control twins alone prune");
+                        assert_eq!(stats.estimated, spec.len(), "{case}");
+                        assert_eq!(stats.pruned, pruned_positions.len(), "{case}");
+                        assert_eq!(stats.synthesized, synthesized.len(), "{case}");
+                        assert_eq!(stats.agreement, 1.0, "{case}");
+                    }
                 }
             }
-        };
-        // First streaming run may mix hits (the reference sweep warmed
-        // the cache) — the second must be all hits.
-        run(true);
-        run(true);
-    }
 
-    #[test]
-    fn streaming_sweep_cancellation_reaches_callback() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let explorer = Explorer::with_threads(2);
-        let base = Synthesizer::new();
-        let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
-        let cancel = crate::CancelToken::new();
-        cancel.cancel();
-        let cancelled = Arc::new(AtomicUsize::new(0));
-        let sink = Arc::clone(&cancelled);
-        explorer
-            .sweep_points_cdfg_streaming(
-                &base,
-                &cdfg,
-                GridSpec::fu_sweep(&base, 3).expand(),
-                &cancel,
-                move |_, out| {
-                    if matches!(out, Err(SynthesisError::Cancelled { .. })) {
-                        sink.fetch_add(1, Ordering::SeqCst);
+            // A fired token cancels every unpruned point; pruning still
+            // reports its positions.
+            let cancel = CancelToken::new();
+            cancel.cancel();
+            let cancelled = Sweep {
+                cancel,
+                ..sweep.clone()
+            };
+            let (log, _) = run_and_log(&explorer, &cdfg, &cancelled);
+            assert_eq!(log.len(), spec.len(), "{case}");
+            for (i, r) in log {
+                match r {
+                    Ok(StreamedPoint::Pruned) => assert!(pruned_positions.contains(&i)),
+                    Err(SynthesisError::Cancelled { completed }) => {
+                        assert_eq!(completed, "explore-point");
+                        assert!(!pruned_positions.contains(&i), "{case}: {i}");
                     }
-                },
-            )
-            .expect("prepare still succeeds");
-        assert_eq!(cancelled.load(Ordering::SeqCst), 3, "all points cancelled");
+                    other => panic!("{case}: point {i} ran under a fired token: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
-    fn expand_unique_collapses_duplicates_in_first_occurrence_order() {
+    fn panicking_owner_fails_the_cell_instead_of_wedging_waiters() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let cache = Arc::new(MemoCache::new());
+        let owner = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_compute(7, || panic!("injected synthesis panic"))
+        }));
+        assert!(owner.is_err(), "the owner's panic propagates");
+        let (tx, rx) = mpsc::channel();
+        let waiter = Arc::clone(&cache);
+        // Joined only once it has answered: a wedged lookup must fail
+        // the test, not hang it.
+        let lookup = std::thread::spawn(move || {
+            let again = waiter.get_or_compute(7, || unreachable!("the key is already claimed"));
+            let _ = tx.send(again.map(|_| ()).map_err(|e| e.to_string()));
+        });
+        let again = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a second lookup of a panicked key must not block");
+        lookup.join().expect("lookup thread");
+        assert!(again.unwrap_err().contains("panicked"));
+    }
+
+    #[test]
+    fn dedup_points_collapses_duplicates_in_first_occurrence_order() {
         let spec = GridSpec {
             fus: vec![2, 1, 2, 2],
             algorithms: vec![Algorithm::Asap],
@@ -1036,10 +929,11 @@ mod tests {
         };
         assert_eq!(spec.len(), 4, "expand keeps duplicates");
         assert_eq!(spec.expand().len(), 4);
-        let uniq = spec.expand_unique();
+        let (uniq, slot) = dedup_points(&spec.expand());
         assert_eq!(uniq.len(), 2);
         assert_eq!(uniq[0].fus, 2, "first occurrence wins the slot");
         assert_eq!(uniq[1].fus, 1);
+        assert_eq!(slot, vec![0, 1, 0, 0]);
     }
 
     #[test]
@@ -1105,59 +999,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_pruned_sweep_matches_the_batch_variant() {
-        use std::sync::Mutex;
-
-        let explorer = Explorer::with_threads(2);
-        let base = Synthesizer::new();
-        let cdfg = hls_lang::compile(hls_workloads::sources::SQRT).unwrap();
-        let spec = GridSpec {
-            fus: vec![1, 2, 3],
-            algorithms: vec![Algorithm::Asap, Algorithm::List(Priority::PathLength)],
-            controls: vec![
-                ControlStyle::Hardwired(hls_ctrl::EncodingStyle::Binary),
-                ControlStyle::Microcode,
-            ],
-        };
-        let reference = explorer
-            .sweep_grid_cdfg_pruned(&base, &cdfg, &spec)
-            .unwrap();
-
-        type SeenLog = Vec<(usize, Option<DesignPoint>)>;
-        let seen: Arc<Mutex<SeenLog>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let stats = explorer
-            .sweep_points_cdfg_streaming_pruned(
-                &base,
-                &cdfg,
-                spec.expand(),
-                &crate::CancelToken::new(),
-                move |seq, out| {
-                    let p = match out.expect("point synthesizes") {
-                        StreamedPoint::Pruned => None,
-                        StreamedPoint::Synthesized { point, .. } => Some(point),
-                    };
-                    sink.lock().unwrap().push((seq, p));
-                },
-            )
-            .unwrap();
-        let mut seen = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
-        seen.sort_by_key(|(seq, _)| *seq);
-        assert_eq!(seen.len(), spec.len(), "every position calls back once");
-        let streamed: Vec<DesignPoint> = seen.iter().filter_map(|(_, p)| p.clone()).collect();
-        assert_eq!(streamed, reference.points);
-        for (i, (_, p)) in seen.iter().enumerate() {
-            assert_eq!(p.is_none(), reference.pruned[i], "position {i}");
-        }
-        assert_eq!(stats.estimated, reference.stats.estimated);
-        assert_eq!(stats.pruned, reference.stats.pruned);
-        assert_eq!(stats.synthesized, reference.stats.synthesized);
-        assert_eq!(stats.agreement, 1.0);
-    }
-
-    #[test]
     fn grid_spec_order_and_len() {
-        let base = Synthesizer::new();
         let spec = GridSpec {
             fus: vec![1, 2],
             algorithms: vec![Algorithm::Asap, Algorithm::List(Priority::Urgency)],
@@ -1165,11 +1007,10 @@ mod tests {
         };
         assert_eq!(spec.len(), 4);
         assert!(!spec.is_empty());
-        let pts = spec.points();
+        let pts = spec.expand();
         assert_eq!(pts[0].fus, 1);
         assert_eq!(pts[0].algorithm, Algorithm::Asap);
         assert_eq!(pts[1].algorithm, Algorithm::List(Priority::Urgency));
         assert_eq!(pts[2].fus, 2);
-        let _ = &base;
     }
 }

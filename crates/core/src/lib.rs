@@ -21,15 +21,14 @@
 
 mod estimate;
 mod explore;
-pub mod par;
 mod pipeline;
 mod report;
 mod system;
 
 pub use estimate::{prune_mask, Estimator, PruneStats, QorEstimate};
 pub use explore::{
-    pareto_front, sweep_fus, sweep_grid, sweep_grid_cdfg, CacheStats, DesignPoint, Explorer,
-    GridPoint, GridSpec, PrunedSweep, StreamedPoint,
+    pareto_front, sweep_grid_cdfg, CacheStats, DesignPoint, Explorer, GridPoint, GridSpec,
+    StreamedPoint, Sweep, SweepOutcome,
 };
 pub use pipeline::{
     cdfg_fingerprint, CancelToken, ControlReport, ControlStyle, PreparedBehavior, StageNanos,

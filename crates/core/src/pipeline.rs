@@ -298,25 +298,6 @@ impl Synthesizer {
         self.synthesize_cancellable(cdfg, &CancelToken::new())
     }
 
-    /// Synthesizes BSL source text under a cancellation token.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse, scheduling, allocation, and control errors, and
-    /// [`SynthesisError::Cancelled`] when `cancel` fires between stages.
-    ///
-    /// [`SynthesisError::Cancelled`]: crate::SynthesisError::Cancelled
-    pub fn synthesize_source_cancellable(
-        &self,
-        src: &str,
-        cancel: &CancelToken,
-    ) -> Result<SynthesisResult, SynthesisError> {
-        cancel.check("none")?;
-        let cdfg = hls_lang::compile(src)?;
-        cancel.check("compile")?;
-        self.synthesize_cancellable(cdfg, cancel)
-    }
-
     /// Synthesizes an already-compiled behavior, checking `cancel`
     /// between pipeline stages (optimize → schedule → allocate →
     /// control → netlist). A fired token aborts before the next stage
@@ -627,6 +608,10 @@ impl SynthesisResult {
 mod tests {
     use super::*;
 
+    fn sqrt() -> Cdfg {
+        hls_lang::compile(hls_workloads::sources::SQRT).unwrap()
+    }
+
     #[test]
     fn default_flow_reproduces_the_10_step_sqrt() {
         let r = Synthesizer::new()
@@ -724,10 +709,10 @@ mod tests {
         let tok = CancelToken::new();
         tok.cancel();
         let err = Synthesizer::new()
-            .synthesize_source_cancellable(hls_workloads::sources::SQRT, &tok)
+            .synthesize_cancellable(sqrt(), &tok)
             .unwrap_err();
         match err {
-            crate::SynthesisError::Cancelled { completed } => assert_eq!(completed, "none"),
+            crate::SynthesisError::Cancelled { completed } => assert_eq!(completed, "optimize"),
             other => panic!("expected Cancelled, got {other}"),
         }
     }
@@ -737,7 +722,7 @@ mod tests {
         let tok = CancelToken::with_timeout(Duration::ZERO);
         assert!(tok.is_cancelled());
         let err = Synthesizer::new()
-            .synthesize_source_cancellable(hls_workloads::sources::SQRT, &tok)
+            .synthesize_cancellable(sqrt(), &tok)
             .unwrap_err();
         assert!(err.to_string().contains("cancelled"), "{err}");
     }
@@ -746,7 +731,7 @@ mod tests {
     fn unfired_token_changes_nothing() {
         let tok = CancelToken::with_timeout(Duration::from_secs(3600));
         let r = Synthesizer::new()
-            .synthesize_source_cancellable(hls_workloads::sources::SQRT, &tok)
+            .synthesize_cancellable(sqrt(), &tok)
             .unwrap();
         assert_eq!(r.latency, 10);
     }

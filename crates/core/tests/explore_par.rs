@@ -3,11 +3,22 @@
 //! points must actually hit, and every explored point must respect the
 //! dependence lower bound.
 
+use hls_cdfg::Cdfg;
 use hls_core::{
-    pareto_front, sweep_fus, sweep_grid, ControlStyle, Explorer, GridSpec, Synthesizer,
+    pareto_front, sweep_grid_cdfg, ControlStyle, DesignPoint, Explorer, GridSpec, Synthesizer,
 };
 use hls_ctrl::EncodingStyle;
 use hls_sched::{Algorithm, Priority};
+use hls_workloads::sources::{DIFFEQ, SQRT};
+
+fn compile(source: &str) -> Cdfg {
+    hls_lang::compile(source).expect("workload compiles")
+}
+
+/// The serial reference FU sweep `1..=max_fus` over `source`.
+fn serial_fu_sweep(base: &Synthesizer, source: &str, max_fus: usize) -> Vec<DesignPoint> {
+    sweep_grid_cdfg(base, &compile(source), &GridSpec::fu_sweep(base, max_fus)).unwrap()
+}
 
 fn grid() -> GridSpec {
     GridSpec {
@@ -24,15 +35,16 @@ fn grid() -> GridSpec {
     }
 }
 
-/// (a) Parallel `sweep_fus` returns byte-identical `DesignPoint` vectors
+/// (a) A parallel FU sweep returns byte-identical `DesignPoint` vectors
 /// to the serial path, at several thread counts.
 #[test]
 fn parallel_sweep_fus_matches_serial() {
     let base = Synthesizer::new();
-    let serial = sweep_fus(&base, hls_workloads::sources::DIFFEQ, 5).unwrap();
+    let serial = serial_fu_sweep(&base, DIFFEQ, 5);
+    let spec = GridSpec::fu_sweep(&base, 5);
     for threads in [1, 2, 4, 8] {
         let par = Explorer::with_threads(threads)
-            .sweep_fus(&base, hls_workloads::sources::DIFFEQ, 5)
+            .sweep_grid_cdfg(&base, &compile(DIFFEQ), &spec)
             .unwrap();
         assert_eq!(par, serial, "thread count {threads} diverged from serial");
     }
@@ -44,15 +56,12 @@ fn parallel_sweep_fus_matches_serial() {
 fn parallel_sweep_grid_matches_serial_and_is_order_stable() {
     let base = Synthesizer::new();
     let spec = grid();
-    let serial = sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec).unwrap();
+    let cdfg = compile(DIFFEQ);
+    let serial = sweep_grid_cdfg(&base, &cdfg, &spec).unwrap();
     assert_eq!(serial.len(), spec.len());
     let explorer = Explorer::with_threads(4);
-    let first = explorer
-        .sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec)
-        .unwrap();
-    let second = explorer
-        .sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec)
-        .unwrap();
+    let first = explorer.sweep_grid_cdfg(&base, &cdfg, &spec).unwrap();
+    let second = explorer.sweep_grid_cdfg(&base, &cdfg, &spec).unwrap();
     assert_eq!(first, serial, "parallel grid diverged from serial");
     assert_eq!(second, serial, "warm-cache rerun diverged");
 }
@@ -67,7 +76,7 @@ fn asap_bound_holds_for_every_explored_point() {
         .clone()
         .universal_fus(64)
         .algorithm(Algorithm::Asap)
-        .synthesize_source(hls_workloads::sources::DIFFEQ)
+        .synthesize_source(DIFFEQ)
         .unwrap()
         .latency;
     let spec = GridSpec {
@@ -80,7 +89,7 @@ fn asap_bound_holds_for_every_explored_point() {
         controls: vec![ControlStyle::Hardwired(EncodingStyle::Binary)],
     };
     let points = Explorer::with_threads(4)
-        .sweep_grid(&base, hls_workloads::sources::DIFFEQ, &spec)
+        .sweep_grid_cdfg(&base, &compile(DIFFEQ), &spec)
         .unwrap();
     for p in &points {
         assert!(
@@ -105,9 +114,8 @@ fn memo_cache_hits_on_repeated_points() {
         algorithms: vec![Algorithm::List(Priority::PathLength)],
         controls: vec![ControlStyle::Hardwired(EncodingStyle::Binary)],
     };
-    let points = explorer
-        .sweep_grid(&base, hls_workloads::sources::SQRT, &spec)
-        .unwrap();
+    let cdfg = compile(SQRT);
+    let points = explorer.sweep_grid_cdfg(&base, &cdfg, &spec).unwrap();
     assert_eq!(points.len(), 6);
     assert_eq!(points[0], points[3]);
     assert_eq!(points[1], points[4]);
@@ -122,9 +130,7 @@ fn memo_cache_hits_on_repeated_points() {
         "spec-repeated duplicates are deduplicated before dispatch: {stats:?}"
     );
     // Re-sweeping adds zero misses: every distinct point hits.
-    explorer
-        .sweep_grid(&base, hls_workloads::sources::SQRT, &spec)
-        .unwrap();
+    explorer.sweep_grid_cdfg(&base, &cdfg, &spec).unwrap();
     let rerun = explorer.cache_stats();
     assert_eq!(
         rerun.misses, 3,
@@ -141,20 +147,15 @@ fn memo_cache_hits_on_repeated_points() {
 fn cache_is_content_addressed_across_workloads() {
     let base = Synthesizer::new();
     let explorer = Explorer::with_threads(2);
+    let spec = GridSpec::fu_sweep(&base, 3);
     let sqrt = explorer
-        .sweep_fus(&base, hls_workloads::sources::SQRT, 3)
+        .sweep_grid_cdfg(&base, &compile(SQRT), &spec)
         .unwrap();
     let diffeq = explorer
-        .sweep_fus(&base, hls_workloads::sources::DIFFEQ, 3)
+        .sweep_grid_cdfg(&base, &compile(DIFFEQ), &spec)
         .unwrap();
-    assert_eq!(
-        sqrt,
-        sweep_fus(&base, hls_workloads::sources::SQRT, 3).unwrap()
-    );
-    assert_eq!(
-        diffeq,
-        sweep_fus(&base, hls_workloads::sources::DIFFEQ, 3).unwrap()
-    );
+    assert_eq!(sqrt, serial_fu_sweep(&base, SQRT, 3));
+    assert_eq!(diffeq, serial_fu_sweep(&base, DIFFEQ, 3));
     assert_ne!(sqrt, diffeq);
     assert_eq!(
         explorer.cache_stats().misses,
@@ -170,7 +171,7 @@ fn cache_is_content_addressed_across_workloads() {
 fn pareto_front_minimal_and_sound_on_grid() {
     let base = Synthesizer::new();
     let points = Explorer::with_threads(4)
-        .sweep_grid(&base, hls_workloads::sources::DIFFEQ, &grid())
+        .sweep_grid_cdfg(&base, &compile(DIFFEQ), &grid())
         .unwrap();
     let front = pareto_front(&points);
     assert!(!front.is_empty());
@@ -203,8 +204,19 @@ fn pareto_front_minimal_and_sound_on_grid() {
 fn first_error_in_grid_order_propagates() {
     let base = Synthesizer::new();
     let explorer = Explorer::with_threads(4);
+    // Zero FUs cannot schedule anything; ASAP precedes list in the grid.
+    let spec = GridSpec {
+        fus: vec![2, 0],
+        ..grid()
+    };
     let err = explorer
-        .sweep_grid(&base, "program ; begin end", &grid())
+        .sweep_grid_cdfg(&base, &compile(DIFFEQ), &spec)
         .unwrap_err();
-    assert!(err.to_string().contains("identifier"), "{err}");
+    let first = base
+        .clone()
+        .universal_fus(0)
+        .algorithm(Algorithm::Asap)
+        .synthesize_source(DIFFEQ)
+        .unwrap_err();
+    assert_eq!(err.to_string(), first.to_string());
 }

@@ -9,9 +9,9 @@
 
 use hls_cdfg::SystemCdfg;
 use hls_core::{
-    cdfg_fingerprint, pareto_front, CancelToken, ControlReport, ControlStyle, DeadlockVerdict,
-    DesignPoint, Explorer, GridPoint, GridSpec, ProcessSynthesis, PruneStats, PrunedSweep,
-    SynthesisError, SynthesisResult, Synthesizer, SystemSynthesisResult,
+    cdfg_fingerprint, pareto_front, ControlReport, ControlStyle, DeadlockVerdict, DesignPoint,
+    GridPoint, GridSpec, ProcessSynthesis, PruneStats, SweepOutcome, SynthesisResult, Synthesizer,
+    SystemSynthesisResult,
 };
 use hls_ctrl::EncodingStyle;
 use hls_sched::{Algorithm, Priority};
@@ -127,7 +127,7 @@ pub fn control_str(c: ControlStyle) -> String {
     }
 }
 
-/// A fully parsed `/synthesize` request.
+/// A fully parsed `/v1/synthesize` request.
 #[derive(Clone, Debug)]
 pub struct SynthesizeRequest {
     /// BSL source text.
@@ -247,7 +247,7 @@ impl SynthesizeRequest {
     }
 }
 
-/// A fully parsed `/explore` request.
+/// A fully parsed `/v1/explore` request.
 #[derive(Clone, Debug)]
 pub struct ExploreRequest {
     /// BSL source text.
@@ -631,36 +631,16 @@ fn deadlock_json(v: &DeadlockVerdict) -> Json {
 }
 
 /// Builds the deterministic response body for one system-synthesis
-/// result: per-process metrics in declaration order, the interconnect
-/// inventory, the static deadlock verdict, and (on request) the
-/// elaborated top-level Verilog.
+/// result: per-process metrics in declaration order (the same keys as a
+/// single-process response), the interconnect inventory, the static
+/// deadlock verdict, and (on request) the elaborated top-level Verilog.
 pub fn system_response(
     req: &SynthesizeRequest,
     behavior_fp: u64,
     result: &SystemSynthesisResult,
 ) -> Json {
-    system_response_with(req, behavior_fp, result, false)
-}
-
-/// v1 variant of [`system_response`]: per-process objects carry the
-/// same metric keys as single-process responses (`clock_ns` after
-/// `area`); everything else is byte-identical to v0.
-pub fn system_response_v1(
-    req: &SynthesizeRequest,
-    behavior_fp: u64,
-    result: &SystemSynthesisResult,
-) -> Json {
-    system_response_with(req, behavior_fp, result, true)
-}
-
-fn system_response_with(
-    req: &SynthesizeRequest,
-    behavior_fp: u64,
-    result: &SystemSynthesisResult,
-    v1: bool,
-) -> Json {
     let process_json = |p: &ProcessSynthesis| {
-        let mut members = vec![
+        Json::Obj(vec![
             ("name".into(), Json::Str(p.name.clone())),
             ("latency".into(), Json::Num(p.result.latency as f64)),
             ("fus".into(), Json::Num(p.result.datapath.fu_count() as f64)),
@@ -673,12 +653,9 @@ fn system_response_with(
                 Json::Num(p.result.datapath.mux_inputs as f64),
             ),
             ("area".into(), Json::Num(p.result.area.total())),
-        ];
-        if v1 {
-            members.push(("clock_ns".into(), Json::Num(p.result.area.clock_ns)));
-        }
-        members.push(("fsm_states".into(), Json::Num(p.result.fsm.len() as f64)));
-        Json::Obj(members)
+            ("clock_ns".into(), Json::Num(p.result.area.clock_ns)),
+            ("fsm_states".into(), Json::Num(p.result.fsm.len() as f64)),
+        ])
     };
     let names = |it: &[String]| Json::Arr(it.iter().map(|n| Json::Str(n.clone())).collect());
     let channels: Vec<String> = result
@@ -720,7 +697,7 @@ fn system_response_with(
     Json::Obj(members)
 }
 
-/// Flat design-point rendering shared by `/explore` bodies and batch
+/// Flat design-point rendering shared by `/v1/explore` bodies and batch
 /// summary pareto fronts.
 fn point_json(p: &DesignPoint) -> Json {
     Json::Obj(vec![
@@ -769,7 +746,7 @@ fn prune_stats_json(stats: &PruneStats) -> Json {
 /// sweep: the synthesized (surviving) points, the Pareto front — by
 /// construction identical to the exhaustive sweep's front — and the
 /// estimator counters under `"prune_stats"`.
-pub fn explore_response_pruned(sweep: &PrunedSweep, behavior_fp: u64, config_fp: u64) -> Json {
+pub fn explore_response_pruned(sweep: &SweepOutcome, behavior_fp: u64, config_fp: u64) -> Json {
     Json::Obj(vec![
         (
             "points".into(),
@@ -934,59 +911,6 @@ pub fn with_cache_hit(body: &[u8], hit: bool) -> Vec<u8> {
     }
     out.extend_from_slice(&body[1..]);
     out
-}
-
-/// Runs a parsed `/synthesize` request to completion.
-///
-/// # Errors
-///
-/// Propagates synthesis errors (including cancellation) for the caller
-/// to map onto HTTP statuses.
-pub fn run_synthesize(
-    req: &SynthesizeRequest,
-    cancel: &CancelToken,
-) -> Result<(u64, SynthesisResult), SynthesisError> {
-    let cdfg = hls_lang::compile(&req.source)?;
-    let behavior_fp = cdfg_fingerprint(&cdfg);
-    let result = req.synthesizer.synthesize_cancellable(cdfg, cancel)?;
-    Ok((behavior_fp, result))
-}
-
-/// Runs a parsed `/explore` request on the shared explorer.
-///
-/// # Errors
-///
-/// Propagates synthesis errors (including cancellation) for the caller
-/// to map onto HTTP statuses.
-pub fn run_explore(
-    req: &ExploreRequest,
-    explorer: &Explorer,
-    cancel: &CancelToken,
-) -> Result<(u64, Vec<DesignPoint>), SynthesisError> {
-    let cdfg = hls_lang::compile(&req.source)?;
-    let behavior_fp = cdfg_fingerprint(&cdfg);
-    let points =
-        explorer.sweep_grid_cdfg_cancellable(&req.synthesizer, &cdfg, &req.spec, cancel)?;
-    Ok((behavior_fp, points))
-}
-
-/// Runs a parsed `/explore` request with the estimator's dominance
-/// pre-pass on the shared explorer.
-///
-/// # Errors
-///
-/// Propagates synthesis errors (including cancellation) for the caller
-/// to map onto HTTP statuses.
-pub fn run_explore_pruned(
-    req: &ExploreRequest,
-    explorer: &Explorer,
-    cancel: &CancelToken,
-) -> Result<(u64, PrunedSweep), SynthesisError> {
-    let cdfg = hls_lang::compile(&req.source)?;
-    let behavior_fp = cdfg_fingerprint(&cdfg);
-    let sweep =
-        explorer.sweep_grid_cdfg_pruned_cancellable(&req.synthesizer, &cdfg, &req.spec, cancel)?;
-    Ok((behavior_fp, sweep))
 }
 
 #[cfg(test)]
@@ -1211,13 +1135,15 @@ mod tests {
         )
         .unwrap();
         let req = SynthesizeRequest::from_json(&body).unwrap();
-        let tok = CancelToken::new();
-        let (fp1, r1) = run_synthesize(&req, &tok).unwrap();
-        let (fp2, r2) = run_synthesize(&req, &tok).unwrap();
-        assert_eq!(fp1, fp2);
-        assert_eq!(r1.latency, 10);
-        let b1 = synthesize_response(&req, fp1, &r1).render();
-        let b2 = synthesize_response(&req, fp2, &r2).render();
+        let render = || {
+            let cdfg = hls_lang::compile(&req.source).unwrap();
+            let fp = cdfg_fingerprint(&cdfg);
+            let result = req.synthesizer.synthesize(cdfg).unwrap();
+            assert_eq!(result.latency, 10);
+            synthesize_response(&req, fp, &result).render()
+        };
+        let b1 = render();
+        let b2 = render();
         assert_eq!(b1, b2, "identical requests must render identical bytes");
     }
 

@@ -2,7 +2,7 @@
 //! `hls-serve`.
 //!
 //! ```text
-//! hls-loadgen ADDR [REQUESTS] [CLIENTS] [--mix v1|legacy|mixed] [--batch-smoke]
+//! hls-loadgen ADDR [REQUESTS] [CLIENTS] [--batch-smoke]
 //! ```
 //!
 //! `CLIENTS` workers each run a closed loop: take the next request index
@@ -14,12 +14,6 @@
 //! functions of requests, the tool fingerprints every response body per
 //! template and fails loudly when two repeats ever disagree (whether
 //! they were served from cache or freshly synthesized).
-//!
-//! `--mix` selects the traffic shape: `v1` hits only `/v1/*` paths,
-//! `legacy` only the deprecated unversioned ones, and `mixed` (the
-//! default) alternates — which doubles the template count, since v1 and
-//! legacy bodies differ byte-wise (`cache_hit` field) and must be
-//! fingerprinted separately.
 //!
 //! A `503` answer is back-off-and-retry, honoring `Retry-After-Ms`
 //! when present (exact milliseconds), the v1 envelope's
@@ -45,61 +39,44 @@ struct Template {
     label: String,
 }
 
-/// Which API surface the templates target.
-#[derive(Clone, Copy, PartialEq)]
-enum Mix {
-    V1,
-    Legacy,
-    Mixed,
-}
-
-fn templates(mix: Mix) -> Vec<Template> {
-    let prefixes: &[&str] = match mix {
-        Mix::V1 => &["/v1"],
-        Mix::Legacy => &[""],
-        Mix::Mixed => &["/v1", ""],
-    };
+fn templates() -> Vec<Template> {
     let sqrt = hls_workloads::sources::SQRT;
     let diffeq = hls_workloads::sources::DIFFEQ;
     let gcd = hls_workloads::sources::GCD;
     let mut out = Vec::new();
-    for prefix in prefixes {
-        let tag = if prefix.is_empty() { "legacy" } else { "v1" };
-        for (name, source, fus, algorithm) in [
-            ("sqrt/1fu", sqrt, 1, "list/path"),
-            ("sqrt/2fu", sqrt, 2, "list/path"),
-            ("sqrt/asap", sqrt, 2, "asap"),
-            ("diffeq/2fu", diffeq, 2, "list/path"),
-            ("diffeq/3fu", diffeq, 3, "list/urgency"),
-            ("gcd/2fu", gcd, 2, "list/path"),
-        ] {
-            out.push(Template {
-                path: format!("{prefix}/synthesize"),
-                body: format!(
-                    r#"{{"source":{source:?},"config":{{"fus":{fus},"algorithm":{algorithm:?}}}}}"#
-                ),
-                label: format!("synthesize:{name}:{tag}"),
-            });
-        }
-        for (name, source, max_fus) in [("sqrt", sqrt, 3), ("diffeq", diffeq, 2)] {
-            let fus: Vec<String> = (1..=max_fus).map(|n| n.to_string()).collect();
-            out.push(Template {
-                path: format!("{prefix}/explore"),
-                body: format!(
-                    r#"{{"source":{source:?},"grid":{{"fus":[{}],"algorithms":["asap","list/path"]}}}}"#,
-                    fus.join(",")
-                ),
-                label: format!("explore:{name}:{tag}"),
-            });
-        }
+    for (name, source, fus, algorithm) in [
+        ("sqrt/1fu", sqrt, 1, "list/path"),
+        ("sqrt/2fu", sqrt, 2, "list/path"),
+        ("sqrt/asap", sqrt, 2, "asap"),
+        ("diffeq/2fu", diffeq, 2, "list/path"),
+        ("diffeq/3fu", diffeq, 3, "list/urgency"),
+        ("gcd/2fu", gcd, 2, "list/path"),
+    ] {
+        out.push(Template {
+            path: "/v1/synthesize".into(),
+            body: format!(
+                r#"{{"source":{source:?},"config":{{"fus":{fus},"algorithm":{algorithm:?}}}}}"#
+            ),
+            label: format!("synthesize:{name}"),
+        });
+    }
+    for (name, source, max_fus) in [("sqrt", sqrt, 3), ("diffeq", diffeq, 2)] {
+        let fus: Vec<String> = (1..=max_fus).map(|n| n.to_string()).collect();
+        out.push(Template {
+            path: "/v1/explore".into(),
+            body: format!(
+                r#"{{"source":{source:?},"grid":{{"fus":[{}],"algorithms":["asap","list/path"]}}}}"#,
+                fus.join(",")
+            ),
+            label: format!("explore:{name}"),
+        });
     }
     out
 }
 
-/// A parsed response: status, cache header, backoff hints, body.
+/// A parsed response: status, backoff hints, body.
 struct Reply {
     status: u16,
-    cache: Option<String>,
     retry_after_secs: Option<u64>,
     retry_after_ms: Option<u64>,
     body: Vec<u8>,
@@ -160,14 +137,12 @@ fn fire(addr: &str, path: &str, body: &str) -> Result<Reply, String> {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or("bad status line")?;
-    let mut cache = None;
     let mut retry_after_secs = None;
     let mut retry_after_ms = None;
     let mut chunked = false;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             match name.trim().to_ascii_lowercase().as_str() {
-                "x-hls-cache" => cache = Some(value.trim().to_string()),
                 "retry-after" => retry_after_secs = value.trim().parse().ok(),
                 "retry-after-ms" => retry_after_ms = value.trim().parse().ok(),
                 "transfer-encoding" => {
@@ -183,7 +158,6 @@ fn fire(addr: &str, path: &str, body: &str) -> Result<Reply, String> {
     }
     Ok(Reply {
         status,
-        cache,
         retry_after_secs,
         retry_after_ms,
         body,
@@ -323,27 +297,12 @@ fn batch_smoke(addr: &str) -> i32 {
 fn main() {
     let mut addr = None;
     let mut positional: Vec<String> = Vec::new();
-    let mut mix = Mix::Mixed;
     let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "-h" | "--help" => {
-                eprintln!(
-                    "usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--mix v1|legacy|mixed] [--batch-smoke]"
-                );
+                eprintln!("usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--batch-smoke]");
                 std::process::exit(2);
-            }
-            "--mix" => {
-                mix = match args.next().as_deref() {
-                    Some("v1") => Mix::V1,
-                    Some("legacy") => Mix::Legacy,
-                    Some("mixed") => Mix::Mixed,
-                    other => {
-                        eprintln!("bad --mix {other:?} (want v1|legacy|mixed)");
-                        std::process::exit(2);
-                    }
-                };
             }
             "--batch-smoke" => smoke = true,
             other if addr.is_none() => addr = Some(other.to_string()),
@@ -351,9 +310,7 @@ fn main() {
         }
     }
     let Some(addr) = addr else {
-        eprintln!(
-            "usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--mix v1|legacy|mixed] [--batch-smoke]"
-        );
+        eprintln!("usage: hls-loadgen ADDR [REQUESTS] [CLIENTS] [--batch-smoke]");
         std::process::exit(2);
     };
     if smoke {
@@ -365,7 +322,7 @@ fn main() {
         .unwrap_or(1000);
     let clients: usize = positional.get(1).and_then(|v| v.parse().ok()).unwrap_or(8);
 
-    let templates = Arc::new(templates(mix));
+    let templates = Arc::new(templates());
     let stats = Arc::new(Stats {
         digests: Mutex::new(vec![None; templates.len()]),
         ..Stats::default()
@@ -408,22 +365,8 @@ fn main() {
                 match reply {
                     Ok(r) if r.status == 200 => {
                         stats.ok.fetch_add(1, Ordering::Relaxed);
-                        let hit = r.cache.as_deref() == Some("hit");
-                        if hit {
+                        if String::from_utf8_lossy(&r.body).contains("\"cache_hit\":true") {
                             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // v1 bodies carry the hit flag inline too; a
-                        // disagreement with the header is a bug.
-                        if t.path.starts_with("/v1/") {
-                            let text = String::from_utf8_lossy(&r.body);
-                            let flagged = text.contains("\"cache_hit\":true");
-                            if flagged != hit {
-                                stats.mismatches.fetch_add(1, Ordering::Relaxed);
-                                eprintln!(
-                                    "CACHE FLAG MISMATCH on {}: header {hit}, body {flagged}",
-                                    t.label
-                                );
-                            }
                         }
                         // The cache_hit field flips between first hit and
                         // later repeats; mask it out of the digest so the
@@ -529,15 +472,5 @@ mod tests {
         let raw = b"4\r\nwiki\r\n5\r\npedia\r\n0\r\n\r\n";
         assert_eq!(decode_chunked(raw).unwrap(), b"wikipedia");
         assert!(decode_chunked(b"zz\r\n").is_err());
-    }
-
-    #[test]
-    fn traffic_mixes_shape_the_template_set() {
-        let v1 = templates(Mix::V1);
-        let legacy = templates(Mix::Legacy);
-        let mixed = templates(Mix::Mixed);
-        assert!(v1.iter().all(|t| t.path.starts_with("/v1/")));
-        assert!(legacy.iter().all(|t| !t.path.starts_with("/v1/")));
-        assert_eq!(mixed.len(), v1.len() + legacy.len());
     }
 }

@@ -82,8 +82,8 @@ impl ResponseCache {
 
 /// Combines an endpoint tag, the two fingerprints, and endpoint-specific
 /// flags into one cache key (FNV-1a over the digests, same construction
-/// as the exploration memo key). The tag keeps `/synthesize` and
-/// `/explore` entries for the same behavior+config pair apart.
+/// as the exploration memo key). The tag keeps `/v1/synthesize` and
+/// `/v1/explore` entries for the same behavior+config pair apart.
 pub fn response_key(tag: &str, behavior_fp: u64, config_fp: u64, flags: u64) -> u64 {
     let mut w = hls_testkit::FnvWriter::new();
     w.update(tag.as_bytes());

@@ -13,11 +13,9 @@
 //! | `GET /v1/healthz`      | liveness probe                                   |
 //! | `GET /v1/metrics`      | Prometheus text metrics                          |
 //!
-//! The unversioned legacy paths (`/synthesize`, …) still answer with
-//! their original response shapes, marked with a `Deprecation: true`
-//! header. v1 uses snake_case throughout, a single error envelope
-//! `{"error":{"code","message","stage"?}}`, and a `cache_hit` body
-//! field (see `DESIGN.md` §10 for the v0→v1 field map).
+//! Every other path answers `404`. v1 uses snake_case throughout, a
+//! single error envelope `{"error":{"code","message","stage"?}}`, and a
+//! `cache_hit` body field (see `DESIGN.md` §10).
 //!
 //! For scale-out, the [`shard`] module adds a front process
 //! (`hls-serve --front --workers N`) that consistent-hashes requests
@@ -26,7 +24,7 @@
 //! falls out of the routing.
 //!
 //! The serving model is deliberately boring: a bounded admission count
-//! in front of a work-stealing pool (reused from [`hls_core::par`]),
+//! in front of a work-stealing pool (reused from [`hls_par`]),
 //! load shedding with `503` + `Retry-After` once the bound is hit,
 //! per-request deadlines enforced by [`hls_core::CancelToken`] between
 //! pipeline stages, and a graceful drain on shutdown. Responses are

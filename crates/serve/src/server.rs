@@ -6,7 +6,7 @@
 //! admitted against a single bound — `queue` — counting every request
 //! that has been accepted but not yet finished (queued *and* executing).
 //! Admitted connections are handed to a work-stealing pool reused from
-//! [`hls_core::par`]; over the bound, the acceptor sheds the connection
+//! [`hls_par`]; over the bound, the acceptor sheds the connection
 //! with `503 Service Unavailable` + `Retry-After` from a short-lived
 //! helper thread so the accept loop itself never blocks on a slow peer.
 //!
@@ -34,10 +34,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hls_core::par::{default_threads, ThreadPool};
 use hls_core::{
-    cdfg_fingerprint, CancelToken, DesignPoint, Explorer, GridPoint, StreamedPoint, SynthesisError,
+    cdfg_fingerprint, CancelToken, DesignPoint, Explorer, StreamedPoint, Sweep, SynthesisError,
 };
+use hls_par::{default_threads, ThreadPool};
 
 use crate::api;
 use crate::cache::{response_key, ResponseCache};
@@ -306,22 +306,12 @@ fn shed(mut stream: TcpStream, ctx: &Ctx) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
     // Read (and discard) the request so the client reliably sees the
     // response instead of a reset; ignore unreadable requests.
-    let (endpoint, v1) = match read_request(&mut stream) {
+    let endpoint = match read_request(&mut stream) {
         Ok(req) => parse_route(&req),
-        Err(_) => ("unknown", false),
+        Err(_) => "unknown",
     };
     let ms = ctx.config.retry_after_ms;
-    let body = if v1 {
-        api::error_envelope("overloaded", "server overloaded", None, Some(ms))
-    } else {
-        Json::Obj(vec![
-            ("error".into(), Json::Str("server overloaded".into())),
-            (
-                "retry_after_secs".into(),
-                Json::Num(ctx.config.retry_after_secs() as f64),
-            ),
-        ])
-    };
+    let body = api::error_envelope("overloaded", "server overloaded", None, Some(ms));
     let resp = Response::json(503, body.render().into_bytes())
         .with_header("Retry-After", ctx.config.retry_after_secs().to_string())
         .with_header("Retry-After-Ms", ms.to_string());
@@ -330,21 +320,16 @@ fn shed(mut stream: TcpStream, ctx: &Ctx) {
         .observe_request(endpoint, 503, started.elapsed());
 }
 
-/// Resolves a request path to its `(endpoint label, is_v1)` pair.
-/// Legacy unversioned paths keep resolving (behind a `Deprecation`
-/// header downstream); `/v1/batch` has no legacy twin.
-pub(crate) fn parse_route(req: &Request) -> (&'static str, bool) {
+/// Resolves a request path to its endpoint label; every path outside
+/// `/v1/*` is `"unknown"`.
+pub(crate) fn parse_route(req: &Request) -> &'static str {
     match req.path.split('?').next().unwrap_or("") {
-        "/healthz" => ("healthz", false),
-        "/metrics" => ("metrics", false),
-        "/synthesize" => ("synthesize", false),
-        "/explore" => ("explore", false),
-        "/v1/healthz" => ("healthz", true),
-        "/v1/metrics" => ("metrics", true),
-        "/v1/synthesize" => ("synthesize", true),
-        "/v1/explore" => ("explore", true),
-        "/v1/batch" => ("batch", true),
-        other => ("unknown", other.starts_with("/v1/")),
+        "/v1/healthz" => "healthz",
+        "/v1/metrics" => "metrics",
+        "/v1/synthesize" => "synthesize",
+        "/v1/explore" => "explore",
+        "/v1/batch" => "batch",
+        _ => "unknown",
     }
 }
 
@@ -359,23 +344,21 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
         Err(ReadError::Closed) => return,
         Err(ReadError::Io(_)) => return,
         Err(ReadError::TooLarge) => {
-            // The request never parsed, so its API version is unknown;
-            // pre-route errors keep the legacy shape.
-            let resp = error_response(413, "request too large", false);
+            let resp = error_response(413, "request too large");
             let _ = resp.write_to(&mut stream);
             ctx.metrics
                 .observe_request("unknown", 413, started.elapsed());
             return;
         }
         Err(ReadError::Malformed(why)) => {
-            let resp = error_response(400, why, false);
+            let resp = error_response(400, why);
             let _ = resp.write_to(&mut stream);
             ctx.metrics
                 .observe_request("unknown", 400, started.elapsed());
             return;
         }
     };
-    let (endpoint, v1) = parse_route(&req);
+    let endpoint = parse_route(&req);
     if endpoint == "batch" && req.method == "POST" {
         // The batch handler streams its own chunked response (and owns
         // the error paths before the stream starts), so it bypasses the
@@ -401,15 +384,14 @@ fn handle_connection(mut stream: TcpStream, ctx: &Ctx) {
     // consistent if a request dies mid-flight (a poisoned metrics lock
     // would itself panic on the *next* request, so route() never leaves
     // one behind: the registry methods do not panic while holding it).
-    let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        route(&req, endpoint, v1, ctx)
-    }))
-    .unwrap_or_else(|payload| {
-        ctx.metrics.panic();
-        let msg = panic_message(payload.as_ref());
-        eprintln!("panic in /{endpoint} handler: {msg}");
-        error_response(500, &format!("internal error: {msg}"), v1)
-    });
+    let resp =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| route(&req, endpoint, ctx)))
+            .unwrap_or_else(|payload| {
+                ctx.metrics.panic();
+                let msg = panic_message(payload.as_ref());
+                eprintln!("panic in /{endpoint} handler: {msg}");
+                error_response(500, &format!("internal error: {msg}"))
+            });
     let status = resp.status;
     let _ = resp.write_to(&mut stream);
     ctx.metrics
@@ -441,37 +423,23 @@ pub(crate) fn error_code(status: u16) -> &'static str {
     }
 }
 
-/// A JSON error body: v1 requests get the
-/// `{"error":{"code","message"}}` envelope, legacy requests keep the
-/// flat `{"error":"msg"}` shape.
-pub(crate) fn error_response(status: u16, msg: &str, v1: bool) -> Response {
-    let body = if v1 {
-        api::error_envelope(error_code(status), msg, None, None)
-    } else {
-        Json::Obj(vec![("error".into(), Json::Str(msg.into()))])
-    };
+/// A JSON error body in the `{"error":{"code","message"}}` envelope.
+pub(crate) fn error_response(status: u16, msg: &str) -> Response {
+    let body = api::error_envelope(error_code(status), msg, None, None);
     Response::json(status, body.render().into_bytes())
 }
 
-/// Dispatches one parsed request. Legacy (unversioned) hits on known
-/// endpoints are counted and answered with a `Deprecation: true` header
-/// over the old-shape body.
-fn route(req: &Request, endpoint: &str, v1: bool, ctx: &Ctx) -> Response {
-    let resp = match (endpoint, req.method.as_str()) {
+/// Dispatches one parsed request.
+fn route(req: &Request, endpoint: &str, ctx: &Ctx) -> Response {
+    match (endpoint, req.method.as_str()) {
         ("healthz", "GET") => Response::json(200, br#"{"status":"ok"}"#.to_vec()),
         ("metrics", "GET") => Response::text(200, ctx.metrics.render().into_bytes()),
-        ("synthesize", "POST") => synthesize(req, ctx, v1),
-        ("explore", "POST") => explore(req, ctx, v1),
+        ("synthesize", "POST") => synthesize(req, ctx),
+        ("explore", "POST") => explore(req, ctx),
         ("healthz" | "metrics" | "synthesize" | "explore" | "batch", _) => {
-            error_response(405, "method not allowed", v1)
+            error_response(405, "method not allowed")
         }
-        _ => error_response(404, "no such endpoint", v1),
-    };
-    if v1 || endpoint == "unknown" {
-        resp
-    } else {
-        ctx.metrics.deprecated_request(endpoint);
-        resp.with_header("Deprecation", "true".into())
+        _ => error_response(404, "no such endpoint"),
     }
 }
 
@@ -485,58 +453,43 @@ fn deadline_token(ctx: &Ctx, requested_ms: Option<u64>) -> CancelToken {
     CancelToken::with_timeout(effective)
 }
 
-/// Maps a synthesis failure onto an HTTP response. The v1 504 carries
-/// the last completed stage inside the envelope (`error.stage`); legacy
-/// keeps the top-level `completed_stage` member.
-fn synthesis_error_response(e: &SynthesisError, ctx: &Ctx, v1: bool) -> Response {
+/// Maps a synthesis failure onto an HTTP response. A 504 carries the
+/// last completed stage inside the envelope (`error.stage`).
+fn synthesis_error_response(e: &SynthesisError, ctx: &Ctx) -> Response {
     match e {
-        SynthesisError::Parse(_) => error_response(422, &e.to_string(), v1),
+        SynthesisError::Parse(_) => error_response(422, &e.to_string()),
         SynthesisError::Cancelled { completed } => {
             ctx.metrics.deadline_cancelled();
-            let body = if v1 {
-                api::error_envelope(
-                    "deadline_exceeded",
-                    "deadline exceeded",
-                    Some(completed),
-                    None,
-                )
-            } else {
-                Json::Obj(vec![
-                    ("error".into(), Json::Str("deadline exceeded".into())),
-                    ("completed_stage".into(), Json::Str((*completed).into())),
-                ])
-            };
+            let body = api::error_envelope(
+                "deadline_exceeded",
+                "deadline exceeded",
+                Some(completed),
+                None,
+            );
             Response::json(504, body.render().into_bytes())
         }
-        other => error_response(500, &other.to_string(), v1),
+        other => error_response(500, &other.to_string()),
     }
 }
 
-/// Wraps a cached-or-fresh 200 body for the requested API version: v1
-/// splices the serve-time `cache_hit` field in; both versions keep the
-/// `X-HLS-Cache` header.
-fn ok_with_cache_flag(body: &[u8], hit: bool, v1: bool) -> Response {
-    let rendered = if v1 {
-        api::with_cache_hit(body, hit)
-    } else {
-        body.to_vec()
-    };
-    Response::json(200, rendered)
-        .with_header("X-HLS-Cache", if hit { "hit" } else { "miss" }.into())
+/// Wraps a cached-or-fresh 200 body, splicing in the serve-time
+/// `cache_hit` field.
+fn ok_with_cache_flag(body: &[u8], hit: bool) -> Response {
+    Response::json(200, api::with_cache_hit(body, hit))
 }
 
-/// `POST /synthesize` and `POST /v1/synthesize`.
-fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
+/// `POST /v1/synthesize`.
+fn synthesize(req: &Request, ctx: &Ctx) -> Response {
     let body = match std::str::from_utf8(&req.body)
         .map_err(|_| "body is not utf-8".to_string())
         .and_then(|text| json::parse(text).map_err(|e| e.to_string()))
     {
         Ok(v) => v,
-        Err(msg) => return error_response(400, &msg, v1),
+        Err(msg) => return error_response(400, &msg),
     };
     let parsed = match api::SynthesizeRequest::from_json(&body) {
         Ok(p) => p,
-        Err(e) => return error_response(422, &e.0, v1),
+        Err(e) => return error_response(422, &e.0),
     };
     let cancel = deadline_token(ctx, parsed.deadline_ms);
     // Test-only hold: occupies this worker (for saturation tests) while
@@ -552,11 +505,11 @@ fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
         panic!("test-injected panic in synthesize stage");
     }
     if hls_lang::is_system_source(&parsed.source) {
-        return synthesize_system(&parsed, ctx, v1);
+        return synthesize_system(&parsed, ctx);
     }
     let cdfg = match hls_lang::compile(&parsed.source) {
         Ok(c) => c,
-        Err(e) => return error_response(422, &format!("parse: {e}"), v1),
+        Err(e) => return error_response(422, &format!("parse: {e}")),
     };
     let behavior_fp = cdfg_fingerprint(&cdfg);
     let key = response_key(
@@ -568,13 +521,13 @@ fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
     if ctx.config.cache_capacity > 0 {
         if let Some(cached) = ctx.cache.get(key) {
             ctx.metrics.cache_hit();
-            return ok_with_cache_flag(&cached, true, v1);
+            return ok_with_cache_flag(&cached, true);
         }
         ctx.metrics.cache_miss();
     }
     let result = match parsed.synthesizer.synthesize_cancellable(cdfg, &cancel) {
         Ok(r) => r,
-        Err(e) => return synthesis_error_response(&e, ctx, v1),
+        Err(e) => return synthesis_error_response(&e, ctx),
     };
     ctx.metrics.observe_stages(result.stage_nanos);
     let rendered = api::synthesize_response(&parsed, behavior_fp, &result)
@@ -584,77 +537,71 @@ fn synthesize(req: &Request, ctx: &Ctx, v1: bool) -> Response {
     if ctx.config.cache_capacity > 0 {
         ctx.cache.insert(key, Arc::clone(&rendered));
     }
-    ok_with_cache_flag(&rendered, false, v1)
+    ok_with_cache_flag(&rendered, false)
 }
 
-/// `POST /synthesize` for a multi-process `system` source: every
+/// `POST /v1/synthesize` for a multi-process `system` source: every
 /// process runs the full per-behavior pipeline and the response carries
 /// per-process metrics plus (on request) the elaborated top-level
 /// Verilog with the handshake interconnect. System synthesis has no
 /// between-stage cancel points yet, so the deadline is not enforced
 /// mid-flight here.
-fn synthesize_system(parsed: &api::SynthesizeRequest, ctx: &Ctx, v1: bool) -> Response {
+fn synthesize_system(parsed: &api::SynthesizeRequest, ctx: &Ctx) -> Response {
     let sys = match hls_lang::compile_system(&parsed.source) {
         Ok(s) => s,
-        Err(e) => return error_response(422, &format!("parse: {e}"), v1),
+        Err(e) => return error_response(422, &format!("parse: {e}")),
     };
     let behavior_fp = api::system_fingerprint(&sys);
-    // The v1 body differs (per-process `clock_ns`), so each version
-    // caches its own rendering; bit 1 of the flags keeps them apart.
     let key = response_key(
         "synthesize-system",
         behavior_fp,
         parsed.synthesizer.fingerprint(),
-        u64::from(parsed.verilog) | (u64::from(v1) << 1),
+        u64::from(parsed.verilog),
     );
     if ctx.config.cache_capacity > 0 {
         if let Some(cached) = ctx.cache.get(key) {
             ctx.metrics.cache_hit();
-            return ok_with_cache_flag(&cached, true, v1);
+            return ok_with_cache_flag(&cached, true);
         }
         ctx.metrics.cache_miss();
     }
     let result = match parsed.synthesizer.synthesize_system(sys) {
         Ok(r) => r,
-        Err(e) => return synthesis_error_response(&e, ctx, v1),
+        Err(e) => return synthesis_error_response(&e, ctx),
     };
     for p in &result.processes {
         ctx.metrics.observe_stages(p.result.stage_nanos);
     }
-    let rendered = if v1 {
-        api::system_response_v1(parsed, behavior_fp, &result)
-    } else {
-        api::system_response(parsed, behavior_fp, &result)
-    }
-    .render()
-    .into_bytes();
+    let rendered = api::system_response(parsed, behavior_fp, &result)
+        .render()
+        .into_bytes();
     let rendered = Arc::new(rendered);
     if ctx.config.cache_capacity > 0 {
         ctx.cache.insert(key, Arc::clone(&rendered));
     }
-    ok_with_cache_flag(&rendered, false, v1)
+    ok_with_cache_flag(&rendered, false)
 }
 
-/// `POST /explore` and `POST /v1/explore`.
-fn explore(req: &Request, ctx: &Ctx, v1: bool) -> Response {
+/// `POST /v1/explore`.
+fn explore(req: &Request, ctx: &Ctx) -> Response {
     let body = match std::str::from_utf8(&req.body)
         .map_err(|_| "body is not utf-8".to_string())
         .and_then(|text| json::parse(text).map_err(|e| e.to_string()))
     {
         Ok(v) => v,
-        Err(msg) => return error_response(400, &msg, v1),
+        Err(msg) => return error_response(400, &msg),
     };
     let parsed = match api::ExploreRequest::from_json(&body) {
         Ok(p) => p,
-        Err(e) => return error_response(422, &e.0, v1),
+        Err(e) => return error_response(422, &e.0),
     };
     let cancel = deadline_token(ctx, parsed.deadline_ms);
     if hls_lang::is_system_source(&parsed.source) {
-        return error_response(422, "explore does not accept system sources", v1);
+        return error_response(422, "explore does not accept system sources");
     }
     let cdfg = match hls_lang::compile(&parsed.source) {
         Ok(c) => c,
-        Err(e) => return error_response(422, &format!("parse: {e}"), v1),
+        Err(e) => return error_response(422, &format!("parse: {e}")),
     };
     let behavior_fp = cdfg_fingerprint(&cdfg);
     let config_fp = parsed.synthesizer.fingerprint();
@@ -673,33 +620,24 @@ fn explore(req: &Request, ctx: &Ctx, v1: bool) -> Response {
     if ctx.config.cache_capacity > 0 {
         if let Some(cached) = ctx.cache.get(key) {
             ctx.metrics.cache_hit();
-            return ok_with_cache_flag(&cached, true, v1);
+            return ok_with_cache_flag(&cached, true);
         }
         ctx.metrics.cache_miss();
     }
+    let sweep = Sweep {
+        points: parsed.spec.expand(),
+        prune: parsed.prune,
+        cancel,
+    };
+    let outcome = match ctx.explorer.collect(&parsed.synthesizer, &cdfg, &sweep) {
+        Ok(o) => o,
+        Err(e) => return synthesis_error_response(&e, ctx),
+    };
     let rendered = if parsed.prune {
-        let sweep = match ctx.explorer.sweep_grid_cdfg_pruned_cancellable(
-            &parsed.synthesizer,
-            &cdfg,
-            &parsed.spec,
-            &cancel,
-        ) {
-            Ok(s) => s,
-            Err(e) => return synthesis_error_response(&e, ctx, v1),
-        };
-        ctx.metrics.points_pruned(sweep.stats.pruned as u64);
-        api::explore_response_pruned(&sweep, behavior_fp, config_fp)
+        ctx.metrics.points_pruned(outcome.stats.pruned as u64);
+        api::explore_response_pruned(&outcome, behavior_fp, config_fp)
     } else {
-        let points = match ctx.explorer.sweep_grid_cdfg_cancellable(
-            &parsed.synthesizer,
-            &cdfg,
-            &parsed.spec,
-            &cancel,
-        ) {
-            Ok(p) => p,
-            Err(e) => return synthesis_error_response(&e, ctx, v1),
-        };
-        api::explore_response(&points, behavior_fp, config_fp)
+        api::explore_response(&outcome.points, behavior_fp, config_fp)
     }
     .render()
     .into_bytes();
@@ -707,7 +645,7 @@ fn explore(req: &Request, ctx: &Ctx, v1: bool) -> Response {
     if ctx.config.cache_capacity > 0 {
         ctx.cache.insert(key, Arc::clone(&rendered));
     }
-    ok_with_cache_flag(&rendered, false, v1)
+    ok_with_cache_flag(&rendered, false)
 }
 
 /// Serializes batch NDJSON lines onto one chunked response stream.
@@ -791,8 +729,7 @@ impl BatchEmitter {
     }
 }
 
-/// Renders one failed grid point as its NDJSON error record (shared by
-/// the exhaustive and pruned batch callbacks).
+/// Renders one failed grid point as its NDJSON error record.
 fn batch_error_line(seq: u64, e: &SynthesisError) -> Json {
     match e {
         SynthesisError::Cancelled { completed } => api::batch_error_record(
@@ -816,7 +753,7 @@ fn batch_error_line(seq: u64, e: &SynthesisError) -> Json {
 /// status for the metrics label (499 = client disconnected mid-stream).
 fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
     let fail = |stream: &mut TcpStream, status: u16, msg: &str| {
-        let _ = error_response(status, msg, true).write_to(stream);
+        let _ = error_response(status, msg).write_to(stream);
         status
     };
     let body = match std::str::from_utf8(&req.body)
@@ -846,7 +783,11 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
     }
     let n = parsed.points.len();
     let seqs: Arc<Vec<u64>> = Arc::new(parsed.points.iter().map(|(s, _)| *s).collect());
-    let points: Vec<GridPoint> = parsed.points.iter().map(|(_, p)| *p).collect();
+    let sweep = Sweep {
+        points: parsed.points.iter().map(|(_, p)| *p).collect(),
+        prune: parsed.prune,
+        cancel: cancel.clone(),
+    };
     let emitter = Arc::new(BatchEmitter::new(out, cancel.clone()));
     type Slot = Option<(DesignPoint, bool)>;
     let results: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; n]));
@@ -861,84 +802,48 @@ fn batch(req: &Request, stream: &mut TcpStream, ctx: &Ctx) -> u16 {
     if delay > 0 {
         std::thread::sleep(Duration::from_millis(delay));
     }
-    let sweep_result: Result<Option<hls_core::PruneStats>, SynthesisError> = if parsed.prune {
-        let cb = {
-            let emitter = Arc::clone(&emitter);
-            let results = Arc::clone(&results);
-            let seqs = Arc::clone(&seqs);
-            let points = Arc::new(points.clone());
-            let metrics = Arc::clone(&ctx.metrics);
-            move |idx: usize, res: Result<StreamedPoint, SynthesisError>| {
-                if delay > 0 {
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-                let seq = seqs[idx];
-                let line = match res {
-                    Ok(StreamedPoint::Pruned) => {
-                        metrics.points_pruned(1);
-                        api::batch_pruned_record(seq, &points[idx])
-                    }
-                    Ok(StreamedPoint::Synthesized {
-                        point: dp,
-                        cache_hit: hit,
-                    }) => {
-                        metrics.batch_point(if hit {
-                            BatchOutcome::Hit
-                        } else {
-                            BatchOutcome::Miss
-                        });
-                        let record = api::batch_point_record(seq, hit, &points[idx], &dp);
-                        results.lock().expect("results lock")[idx] = Some((dp, hit));
-                        record
-                    }
-                    Err(e) => {
-                        metrics.batch_point(BatchOutcome::Error);
-                        batch_error_line(seq, &e)
-                    }
-                };
-                emitter.push(idx, line.render().into_bytes());
+    let on_point = {
+        let emitter = Arc::clone(&emitter);
+        let results = Arc::clone(&results);
+        let seqs = Arc::clone(&seqs);
+        let points = Arc::new(sweep.points.clone());
+        let metrics = Arc::clone(&ctx.metrics);
+        move |idx: usize, res: Result<StreamedPoint, SynthesisError>| {
+            // Test-only pacing: holds this pool worker per point so
+            // tests can observe mid-batch state deterministically.
+            if delay > 0 {
+                std::thread::sleep(Duration::from_millis(delay));
             }
-        };
-        ctx.explorer
-            .sweep_points_cdfg_streaming_pruned(&parsed.synthesizer, &cdfg, points, &cancel, cb)
-            .map(Some)
-    } else {
-        let cb = {
-            let emitter = Arc::clone(&emitter);
-            let results = Arc::clone(&results);
-            let seqs = Arc::clone(&seqs);
-            let points = Arc::new(points.clone());
-            let metrics = Arc::clone(&ctx.metrics);
-            move |idx: usize, res: Result<(DesignPoint, bool), SynthesisError>| {
-                // Test-only pacing: holds this pool worker per point so
-                // tests can observe mid-batch state deterministically.
-                if delay > 0 {
-                    std::thread::sleep(Duration::from_millis(delay));
+            let seq = seqs[idx];
+            let line = match res {
+                Ok(StreamedPoint::Pruned) => {
+                    metrics.points_pruned(1);
+                    api::batch_pruned_record(seq, &points[idx])
                 }
-                let seq = seqs[idx];
-                let line = match res {
-                    Ok((dp, hit)) => {
-                        metrics.batch_point(if hit {
-                            BatchOutcome::Hit
-                        } else {
-                            BatchOutcome::Miss
-                        });
-                        let record = api::batch_point_record(seq, hit, &points[idx], &dp);
-                        results.lock().expect("results lock")[idx] = Some((dp, hit));
-                        record
-                    }
-                    Err(e) => {
-                        metrics.batch_point(BatchOutcome::Error);
-                        batch_error_line(seq, &e)
-                    }
-                };
-                emitter.push(idx, line.render().into_bytes());
-            }
-        };
-        ctx.explorer
-            .sweep_points_cdfg_streaming(&parsed.synthesizer, &cdfg, points, &cancel, cb)
-            .map(|()| None)
+                Ok(StreamedPoint::Synthesized {
+                    point: dp,
+                    cache_hit: hit,
+                }) => {
+                    metrics.batch_point(if hit {
+                        BatchOutcome::Hit
+                    } else {
+                        BatchOutcome::Miss
+                    });
+                    let record = api::batch_point_record(seq, hit, &points[idx], &dp);
+                    results.lock().expect("results lock")[idx] = Some((dp, hit));
+                    record
+                }
+                Err(e) => {
+                    metrics.batch_point(BatchOutcome::Error);
+                    batch_error_line(seq, &e)
+                }
+            };
+            emitter.push(idx, line.render().into_bytes());
+        }
     };
+    let sweep_result = ctx
+        .explorer
+        .run(&parsed.synthesizer, &cdfg, &sweep, on_point);
     let stats = match sweep_result {
         Ok(stats) => stats,
         Err(e) => {

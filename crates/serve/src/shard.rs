@@ -7,7 +7,7 @@
 //! behavior+configuration always lands on the same worker and cache
 //! affinity falls out of the routing for free.
 //!
-//! - **Single requests** (`/synthesize`, `/explore`, v1 or legacy) are
+//! - **Single requests** (`/v1/synthesize`, `/v1/explore`) are
 //!   proxied verbatim: one upstream connection per request, the worker's
 //!   response forwarded unchanged. A worker that fails mid-proxy is
 //!   marked dead and the request re-hashes to the next live worker on
@@ -20,8 +20,8 @@
 //!   the request even across differently-paced workers. Points stranded
 //!   by a worker death are re-hashed onto the survivors; points no live
 //!   worker can take become `upstream_unavailable` error records.
-//! - `/healthz` probes every worker and aggregates liveness;
-//!   `/metrics` exposes the front's own registry, including
+//! - `/v1/healthz` probes every worker and aggregates liveness;
+//!   `/v1/metrics` exposes the front's own registry, including
 //!   `hls_serve_shard_requests_total{worker=…}`.
 
 use std::collections::BTreeMap;
@@ -33,8 +33,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use hls_core::par::ThreadPool;
 use hls_core::{cdfg_fingerprint, DesignPoint, GridPoint, Synthesizer};
+use hls_par::ThreadPool;
 
 use crate::api;
 use crate::http::{
@@ -158,7 +158,7 @@ struct FrontCtx {
     config: FrontConfig,
     ring: Ring,
     /// Last-known liveness per worker; proxy failures clear a flag,
-    /// `/healthz` probes refresh all of them.
+    /// `/v1/healthz` probes refresh all of them.
     alive: Vec<AtomicBool>,
     metrics: Arc<Metrics>,
     inflight: AtomicUsize,
@@ -333,22 +333,12 @@ fn shed_front(mut stream: TcpStream, ctx: &FrontCtx) {
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(Duration::from_millis(1000)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(1000)));
-    let (endpoint, v1) = match read_request(&mut stream) {
+    let endpoint = match read_request(&mut stream) {
         Ok(req) => parse_route(&req),
-        Err(_) => ("unknown", false),
+        Err(_) => "unknown",
     };
     let ms = ctx.config.retry_after_ms;
-    let body = if v1 {
-        api::error_envelope("overloaded", "server overloaded", None, Some(ms))
-    } else {
-        Json::Obj(vec![
-            ("error".into(), Json::Str("server overloaded".into())),
-            (
-                "retry_after_secs".into(),
-                Json::Num(ctx.retry_after_secs() as f64),
-            ),
-        ])
-    };
+    let body = api::error_envelope("overloaded", "server overloaded", None, Some(ms));
     let resp = Response::json(503, body.render().into_bytes())
         .with_header("Retry-After", ctx.retry_after_secs().to_string())
         .with_header("Retry-After-Ms", ms.to_string());
@@ -367,22 +357,19 @@ fn handle_front_connection(mut stream: TcpStream, ctx: &FrontCtx) {
         Ok(req) => req,
         Err(ReadError::Closed | ReadError::Io(_)) => return,
         Err(ReadError::TooLarge) => {
-            let _ = error_response(413, "request too large", false).write_to(&mut stream);
+            let _ = error_response(413, "request too large").write_to(&mut stream);
             ctx.metrics
                 .observe_request("unknown", 413, started.elapsed());
             return;
         }
         Err(ReadError::Malformed(why)) => {
-            let _ = error_response(400, why, false).write_to(&mut stream);
+            let _ = error_response(400, why).write_to(&mut stream);
             ctx.metrics
                 .observe_request("unknown", 400, started.elapsed());
             return;
         }
     };
-    let (endpoint, v1) = parse_route(&req);
-    if !v1 && endpoint != "unknown" {
-        ctx.metrics.deprecated_request(endpoint);
-    }
+    let endpoint = parse_route(&req);
     if endpoint == "batch" && req.method == "POST" {
         let status = front_batch(&req, &mut stream, ctx);
         ctx.metrics
@@ -390,17 +377,15 @@ fn handle_front_connection(mut stream: TcpStream, ctx: &FrontCtx) {
         return;
     }
     let resp = match (endpoint, req.method.as_str()) {
-        // Front-local endpoints answer here; legacy paths get the
-        // Deprecation header from the front itself.
-        ("healthz", "GET") => deprecate(healthz(ctx), v1),
-        ("metrics", "GET") => deprecate(Response::text(200, ctx.metrics.render().into_bytes()), v1),
-        // Proxied endpoints keep the worker's response verbatim — it
-        // already carries the Deprecation header on legacy paths.
-        ("synthesize" | "explore", "POST") => proxy(&req, ctx, v1),
+        // Front-local endpoints answer here.
+        ("healthz", "GET") => healthz(ctx),
+        ("metrics", "GET") => Response::text(200, ctx.metrics.render().into_bytes()),
+        // Proxied endpoints keep the worker's response verbatim.
+        ("synthesize" | "explore", "POST") => proxy(&req, ctx),
         ("healthz" | "metrics" | "synthesize" | "explore" | "batch", _) => {
-            deprecate(error_response(405, "method not allowed", v1), v1)
+            error_response(405, "method not allowed")
         }
-        _ => error_response(404, "no such endpoint", v1),
+        _ => error_response(404, "no such endpoint"),
     };
     let status = resp.status;
     let _ = resp.write_to(&mut stream);
@@ -408,16 +393,7 @@ fn handle_front_connection(mut stream: TcpStream, ctx: &FrontCtx) {
         .observe_request(endpoint, status, started.elapsed());
 }
 
-/// Adds the `Deprecation` header to a front-local legacy response.
-fn deprecate(resp: Response, v1: bool) -> Response {
-    if v1 {
-        resp
-    } else {
-        resp.with_header("Deprecation", "true".into())
-    }
-}
-
-/// `GET /healthz`: probes every worker, refreshes the liveness flags,
+/// `GET /v1/healthz`: probes every worker, refreshes the liveness flags,
 /// and aggregates. All alive → `ok`, some → `degraded` (both 200), none
 /// → `down` with 503.
 fn healthz(ctx: &FrontCtx) -> Response {
@@ -525,7 +501,7 @@ fn request_key(req: &Request) -> u64 {
 
 /// Proxies one single-shot request to its routed worker, re-hashing past
 /// dead workers; 503 once the ring is empty.
-fn proxy(req: &Request, ctx: &FrontCtx, v1: bool) -> Response {
+fn proxy(req: &Request, ctx: &FrontCtx) -> Response {
     let key = request_key(req);
     let read_timeout = ctx.config.deadline + Duration::from_millis(5000);
     for _ in 0..ctx.config.workers.len() {
@@ -541,17 +517,7 @@ fn proxy(req: &Request, ctx: &FrontCtx, v1: bool) -> Response {
         }
     }
     let ms = ctx.config.retry_after_ms;
-    let body = if v1 {
-        api::error_envelope("overloaded", "no live worker", None, Some(ms))
-    } else {
-        Json::Obj(vec![
-            ("error".into(), Json::Str("no live worker".into())),
-            (
-                "retry_after_secs".into(),
-                Json::Num(ctx.retry_after_secs() as f64),
-            ),
-        ])
-    };
+    let body = api::error_envelope("overloaded", "no live worker", None, Some(ms));
     Response::json(503, body.render().into_bytes())
         .with_header("Retry-After", ctx.retry_after_secs().to_string())
         .with_header("Retry-After-Ms", ms.to_string())
@@ -847,7 +813,7 @@ fn dispatch_sub_batch(
 /// Returns the status for the metrics label (499 = client gone).
 fn front_batch(req: &Request, stream: &mut TcpStream, ctx: &FrontCtx) -> u16 {
     let fail = |stream: &mut TcpStream, status: u16, msg: &str| {
-        let _ = error_response(status, msg, true).write_to(stream);
+        let _ = error_response(status, msg).write_to(stream);
         status
     };
     let body = match std::str::from_utf8(&req.body)

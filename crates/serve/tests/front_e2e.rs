@@ -4,7 +4,6 @@
 //! the worker-kill test (only a killed *process* exercises the
 //! dead-worker re-hash the way production does).
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -67,7 +66,6 @@ impl Cluster {
 
 struct Reply {
     status: u16,
-    headers: BTreeMap<String, String>,
     body: String,
 }
 
@@ -82,19 +80,13 @@ fn roundtrip(addr: SocketAddr, raw_request: &str) -> Reply {
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("header terminator");
-    let mut lines = head.split("\r\n");
-    let status = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
+    let status = head
+        .split_whitespace()
+        .nth(1)
         .and_then(|s| s.parse().ok())
         .expect("status code");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
     Reply {
         status,
-        headers,
         body: body.to_string(),
     }
 }
@@ -149,15 +141,11 @@ fn front_proxies_routes_and_aggregates_health() {
     let cluster = Cluster::start(2, ServerConfig::default());
 
     // A synthesize request proxied through the front behaves exactly
-    // like one against a worker, v1 and legacy alike.
+    // like one against a worker.
     let body = synthesize_body(hls_workloads::sources::SQRT, 2);
     let v1 = post(cluster.front_addr, "/v1/synthesize", &body);
     assert_eq!(v1.status, 200, "body: {}", v1.body);
     assert!(v1.body.starts_with("{\"cache_hit\":false,"), "{}", v1.body);
-    assert!(
-        !v1.headers.contains_key("deprecation"),
-        "v1 proxied response must not be deprecated"
-    );
 
     // Cache affinity: the repeat routes to the same worker and hits.
     let again = post(cluster.front_addr, "/v1/synthesize", &body);
@@ -167,17 +155,13 @@ fn front_proxies_routes_and_aggregates_health() {
         again.body
     );
 
-    // The legacy path keeps the worker's Deprecation marker end-to-end.
+    // Unversioned paths are not proxied: the front answers 404 itself.
     let legacy = post(cluster.front_addr, "/synthesize", &body);
-    assert_eq!(legacy.status, 200);
-    assert_eq!(
-        legacy.headers.get("deprecation").map(String::as_str),
-        Some("true")
-    );
-    assert_eq!(
-        legacy.headers.get("x-hls-cache").map(String::as_str),
-        Some("hit"),
-        "legacy and v1 share the worker cache"
+    assert_eq!(legacy.status, 404, "{}", legacy.body);
+    assert!(
+        legacy.body.starts_with(r#"{"error":{"code":"not_found""#),
+        "{}",
+        legacy.body
     );
 
     // Health aggregation across both workers.
@@ -203,7 +187,7 @@ fn front_proxies_routes_and_aggregates_health() {
         .filter_map(|l| l.split("} ").nth(1))
         .filter_map(|v| v.trim().parse::<u64>().ok())
         .sum();
-    assert_eq!(routed, 3, "three proxied requests: {}", metrics.body);
+    assert_eq!(routed, 2, "two proxied requests: {}", metrics.body);
 
     assert_eq!(get(cluster.front_addr, "/v1/nowhere").status, 404);
     cluster.stop();

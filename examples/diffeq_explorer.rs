@@ -16,6 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("HAL differential-equation solver: y'' + 3xy' + 3y = 0\n");
     let base = Synthesizer::new();
     let explorer = Explorer::new();
+    let cdfg = hls::lang::compile(DIFFEQ)?;
 
     // 1. Resource sweep under the default list scheduler, fanned across
     //    the pool.
@@ -24,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         explorer.threads()
     );
     println!("  fus  latency  area(GE)  regs  mux-ins");
-    let points = explorer.sweep_fus(&base, DIFFEQ, 6)?;
+    let points = explorer.sweep_grid_cdfg(&base, &cdfg, &GridSpec::fu_sweep(&base, 6))?;
     for p in &points {
         println!(
             "  {:<4} {:<8} {:<9.0} {:<5} {}",
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ControlStyle::Microcode,
         ],
     };
-    let grid = explorer.sweep_grid(&base, DIFFEQ, &spec)?;
+    let grid = explorer.sweep_grid_cdfg(&base, &cdfg, &spec)?;
     println!("\nfull grid: {} design points explored", grid.len());
 
     println!("\nPareto front (area vs latency) over the full grid:");

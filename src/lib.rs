@@ -50,6 +50,6 @@ pub use hls_workloads as workloads;
 
 pub use hls_cdfg::Fx;
 pub use hls_core::{
-    pareto_front, sweep_fus, sweep_grid, CacheStats, ControlStyle, DesignPoint, Explorer, GridSpec,
+    pareto_front, sweep_grid_cdfg, CacheStats, ControlStyle, DesignPoint, Explorer, GridSpec,
     SynthesisError, SynthesisResult, Synthesizer,
 };
